@@ -177,7 +177,7 @@ func benchCompressor(b *testing.B, c compress.Compressor, delta float64) {
 	b.SetBytes(int64(8 * len(g)))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := c.Compress(g, delta); err != nil {
+		if _, err := compress.FreshCompress(c, g, delta); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -297,7 +297,7 @@ func syntheticInputs(workers, dim int, delta float64, seed int64) ([]dist.Exchan
 		}
 		ins[w] = dist.ExchangeInput{Worker: w, Dense: dense}
 		if delta > 0 {
-			s, err := compress.NewTopK().Compress(dense, delta)
+			s, err := compress.FreshCompress(compress.NewTopK(), dense, delta)
 			if err != nil {
 				return nil, err
 			}

@@ -12,6 +12,7 @@ import (
 	"repro/internal/compress"
 	"repro/internal/core"
 	"repro/internal/simgrad"
+	"repro/internal/tensor"
 )
 
 func main() {
@@ -47,10 +48,10 @@ func main() {
 		})
 		sum, worst, logErr := 0.0, 1.0, 0.0
 		buf := make([]float64, dim)
+		var s tensor.Sparse
 		for i := 0; i < iters; i++ {
 			gen.Fill(buf)
-			s, err := est.Compress(buf, delta)
-			if err != nil {
+			if err := est.CompressInto(&s, buf, delta); err != nil {
 				log.Fatal(err)
 			}
 			r := float64(s.NNZ()) / float64(k)

@@ -182,6 +182,63 @@ func (w Wire) Format() (encoding.Format, error) {
 	}
 }
 
+// newSched validates the settings Engine and Node share — Workers,
+// Collective, Format, Chunks, CompressSec, StepTimeout and the transport
+// size — and builds the schedule runner over cfg.Transport (an
+// in-process ChanTransport when nil), instrumented with cfg.Scenario and
+// cfg.Telemetry.
+//
+//sidco:errclass construction-time config validation, deliberately fatal
+func newSched(cfg Config) (sched, error) {
+	if cfg.Workers < 1 {
+		return sched{}, fmt.Errorf("cluster: Workers = %d, need >= 1", cfg.Workers)
+	}
+	switch cfg.Collective {
+	case netsim.CollectiveAuto, netsim.CollectiveRing, netsim.CollectiveAllGather, netsim.CollectivePS:
+	default:
+		return sched{}, fmt.Errorf("cluster: unknown collective %v", cfg.Collective)
+	}
+	format, err := cfg.Format.Format()
+	if err != nil {
+		return sched{}, err
+	}
+	if err := validateChunks(cfg.Chunks, cfg.Collective); err != nil {
+		return sched{}, err
+	}
+	if cfg.CompressSec < 0 {
+		return sched{}, fmt.Errorf("cluster: CompressSec = %v, need >= 0", cfg.CompressSec)
+	}
+	if cfg.StepTimeout < 0 {
+		return sched{}, fmt.Errorf("cluster: StepTimeout = %v, need >= 0", cfg.StepTimeout)
+	}
+	nodes := NodeCount(cfg.Workers, cfg.Collective)
+	inner := cfg.Transport
+	if inner == nil {
+		if inner, err = NewChanTransport(nodes); err != nil {
+			return sched{}, err
+		}
+	}
+	if inner.Nodes() < nodes {
+		return sched{}, fmt.Errorf("cluster: transport has %d nodes, need %d", inner.Nodes(), nodes)
+	}
+	server := -1
+	if cfg.Collective == netsim.CollectivePS {
+		server = cfg.Workers
+	}
+	return sched{
+		workers:     cfg.Workers,
+		full:        identityMembers(cfg.Workers),
+		server:      server,
+		format:      format,
+		chunks:      cfg.Chunks,
+		parallel:    cfg.Parallelism,
+		computeSec:  cfg.ComputeSec,
+		compressSec: cfg.CompressSec,
+		tp:          NewInstrumented(inner, cfg.Scenario).WithTelemetry(cfg.Telemetry),
+		tel:         cfg.Telemetry,
+	}, nil
+}
+
 // validateChunks checks the chunked-mode configuration against the
 // selected collective, shared by Engine and Node construction. Auto is
 // accepted: it resolves to the all-gather on every sparse exchange, and
@@ -270,59 +327,15 @@ type Engine struct {
 //
 //sidco:errclass construction-time config validation, deliberately fatal
 func New(cfg Config) (*Engine, error) {
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("cluster: Workers = %d, need >= 1", cfg.Workers)
-	}
-	switch cfg.Collective {
-	case netsim.CollectiveAuto, netsim.CollectiveRing, netsim.CollectiveAllGather, netsim.CollectivePS:
-	default:
-		return nil, fmt.Errorf("cluster: unknown collective %v", cfg.Collective)
-	}
-	format, err := cfg.Format.Format()
+	s, err := newSched(cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := validateChunks(cfg.Chunks, cfg.Collective); err != nil {
-		return nil, err
-	}
-	if cfg.CompressSec < 0 {
-		return nil, fmt.Errorf("cluster: CompressSec = %v, need >= 0", cfg.CompressSec)
-	}
-	if cfg.StepTimeout < 0 {
-		return nil, fmt.Errorf("cluster: StepTimeout = %v, need >= 0", cfg.StepTimeout)
-	}
-	nodes := NodeCount(cfg.Workers, cfg.Collective)
-	inner := cfg.Transport
-	if inner == nil {
-		var err error
-		inner, err = NewChanTransport(nodes)
-		if err != nil {
-			return nil, err
-		}
-	}
-	if inner.Nodes() < nodes {
-		return nil, fmt.Errorf("cluster: transport has %d nodes, need %d", inner.Nodes(), nodes)
-	}
-	server := -1
-	if cfg.Collective == netsim.CollectivePS {
-		server = cfg.Workers
-	}
 	e := &Engine{
-		cfg: cfg,
-		sched: sched{
-			workers:     cfg.Workers,
-			full:        identityMembers(cfg.Workers),
-			server:      server,
-			format:      format,
-			chunks:      cfg.Chunks,
-			parallel:    cfg.Parallelism,
-			computeSec:  cfg.ComputeSec,
-			compressSec: cfg.CompressSec,
-			tp:          NewInstrumented(inner, cfg.Scenario).WithTelemetry(cfg.Telemetry),
-			tel:         cfg.Telemetry,
-		},
+		cfg:     cfg,
+		sched:   s,
 		jobs:    make([]chan job, cfg.Workers),
-		results: make(chan result, nodes),
+		results: make(chan result, NodeCount(cfg.Workers, cfg.Collective)),
 		outs:    make([][]float64, cfg.Workers),
 		scratch: make([]nodeScratch, cfg.Workers),
 	}
@@ -331,7 +344,7 @@ func New(cfg Config) (*Engine, error) {
 		e.wg.Add(1)
 		go e.workerLoop(w)
 	}
-	if server >= 0 {
+	if s.server >= 0 {
 		e.wg.Add(1)
 		go e.serverLoop()
 	}

@@ -414,3 +414,39 @@ func TestRetriesRequireTimeout(t *testing.T) {
 		t.Fatal("MaxStepRetries without StepTimeout should be rejected")
 	}
 }
+
+// TestRetriesRejectOver64Nodes pins the membership-mask width: node id
+// i is bit i of a uint64, so ids >= 64 would silently drop out of every
+// survivor view during renegotiation. NewNode rejects elastic recovery
+// past 64 nodes (65 workers, or 64 workers plus the PS server) and
+// accepts it at exactly 64.
+func TestRetriesRejectOver64Nodes(t *testing.T) {
+	tp, err := NewChanTransport(65)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tp.Close()
+	for _, tc := range []struct {
+		workers int
+		coll    netsim.Collective
+		ok      bool
+	}{
+		{65, netsim.CollectiveAllGather, false},
+		{64, netsim.CollectivePS, false},
+		{64, netsim.CollectiveAllGather, true},
+	} {
+		_, err := NewNode(NodeConfig{
+			Workers: tc.workers, Rank: 0, Collective: tc.coll,
+			Transport: tp, MaxStepRetries: 1, StepTimeout: time.Second,
+		})
+		if (err == nil) != tc.ok {
+			t.Errorf("workers=%d %v: err = %v, want ok=%v", tc.workers, tc.coll, err, tc.ok)
+		}
+		// Without retries the mask is never used, so any size is valid.
+		if _, err := NewNode(NodeConfig{
+			Workers: tc.workers, Rank: 0, Collective: tc.coll, Transport: tp,
+		}); err != nil {
+			t.Errorf("workers=%d %v without retries: %v", tc.workers, tc.coll, err)
+		}
+	}
+}

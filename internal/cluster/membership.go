@@ -120,6 +120,11 @@ func interceptRecv(tp Transport, deadline time.Time) linkRecv {
 	}
 }
 
+// maxMaskNodes is the widest deployment a membership mask can describe:
+// node id i is bit i of a uint64. NewNode rejects elastic recovery on
+// larger deployments.
+const maxMaskNodes = 64
+
 func maskOf(members []int) uint64 {
 	var m uint64
 	for _, id := range members {
@@ -130,7 +135,7 @@ func maskOf(members []int) uint64 {
 
 func maskMembers(mask uint64) []int {
 	var ids []int
-	for id := 0; id < 64; id++ {
+	for id := 0; id < maxMaskNodes; id++ {
 		if mask&(1<<uint(id)) != 0 {
 			ids = append(ids, id)
 		}

@@ -394,7 +394,8 @@ type NodeConfig struct {
 	// aggregated mean to their count. 0 keeps the fail-stop behaviour.
 	// Requires StepTimeout > 0: without deadlines, survivors that are
 	// not adjacent to the dead peer would block forever instead of
-	// joining the renegotiation.
+	// joining the renegotiation. Also requires a deployment of at most
+	// 64 nodes: the renegotiated membership is a uint64 bit mask.
 	MaxStepRetries int
 	// Transport is required: typically a TCPTransport hosting this rank
 	// over the deployment's shared host list. It must span
@@ -456,67 +457,34 @@ type Node struct {
 //
 //sidco:errclass construction-time config validation, deliberately fatal
 func NewNode(cfg NodeConfig) (*Node, error) {
-	if cfg.Workers < 1 {
-		return nil, fmt.Errorf("cluster: Workers = %d, need >= 1", cfg.Workers)
+	if cfg.Transport == nil {
+		return nil, fmt.Errorf("cluster: Node requires a Transport (use Engine for the in-process default)")
 	}
-	switch cfg.Collective {
-	case netsim.CollectiveAuto, netsim.CollectiveRing, netsim.CollectiveAllGather, netsim.CollectivePS:
-	default:
-		return nil, fmt.Errorf("cluster: unknown collective %v", cfg.Collective)
-	}
-	format, err := cfg.Format.Format()
+	s, err := newSched(Config{
+		Workers: cfg.Workers, Collective: cfg.Collective, Format: cfg.Format, Transport: cfg.Transport,
+		Scenario: cfg.Scenario, ComputeSec: cfg.ComputeSec, Chunks: cfg.Chunks, CompressSec: cfg.CompressSec,
+		Parallelism: cfg.Parallelism, StepTimeout: cfg.StepTimeout, Telemetry: cfg.Telemetry,
+	})
 	if err != nil {
 		return nil, err
 	}
-	if err := validateChunks(cfg.Chunks, cfg.Collective); err != nil {
-		return nil, err
-	}
-	if cfg.CompressSec < 0 {
-		return nil, fmt.Errorf("cluster: CompressSec = %v, need >= 0", cfg.CompressSec)
-	}
-	if cfg.StepTimeout < 0 {
-		return nil, fmt.Errorf("cluster: StepTimeout = %v, need >= 0", cfg.StepTimeout)
-	}
+	nodes := NodeCount(cfg.Workers, cfg.Collective)
 	if cfg.MaxStepRetries < 0 {
 		return nil, fmt.Errorf("cluster: MaxStepRetries = %d, need >= 0", cfg.MaxStepRetries)
 	}
 	if cfg.MaxStepRetries > 0 && cfg.StepTimeout <= 0 {
 		return nil, fmt.Errorf("cluster: MaxStepRetries = %d requires StepTimeout > 0 (recovery needs receive deadlines to detect a dead peer from every rank)", cfg.MaxStepRetries)
 	}
-	nodes := NodeCount(cfg.Workers, cfg.Collective)
+	if cfg.MaxStepRetries > 0 && nodes > maxMaskNodes {
+		return nil, fmt.Errorf("cluster: MaxStepRetries = %d supports at most %d nodes (the membership mask is a uint64), deployment has %d", cfg.MaxStepRetries, maxMaskNodes, nodes)
+	}
 	if cfg.Rank < 0 || cfg.Rank >= nodes {
 		return nil, fmt.Errorf("cluster: Rank = %d outside the %d-node deployment", cfg.Rank, nodes)
 	}
 	if cfg.Rank == cfg.Workers && cfg.Collective != netsim.CollectivePS {
 		return nil, fmt.Errorf("cluster: Rank = %d is the server slot, which only CollectivePS has", cfg.Rank)
 	}
-	if cfg.Transport == nil {
-		return nil, fmt.Errorf("cluster: Node requires a Transport (use Engine for the in-process default)")
-	}
-	if cfg.Transport.Nodes() < nodes {
-		return nil, fmt.Errorf("cluster: transport has %d nodes, need %d", cfg.Transport.Nodes(), nodes)
-	}
-	server := -1
-	if cfg.Collective == netsim.CollectivePS {
-		server = cfg.Workers
-	}
-	return &Node{
-		cfg:   cfg,
-		raw:   cfg.Transport,
-		group: identityMembers(nodes),
-		sched: sched{
-			workers:     cfg.Workers,
-			full:        identityMembers(cfg.Workers),
-			server:      server,
-			format:      format,
-			chunks:      cfg.Chunks,
-			parallel:    cfg.Parallelism,
-			computeSec:  cfg.ComputeSec,
-			compressSec: cfg.CompressSec,
-			tp:          NewInstrumented(cfg.Transport, cfg.Scenario).WithTelemetry(cfg.Telemetry),
-			tel:         cfg.Telemetry,
-		},
-	}, nil
+	return &Node{cfg: cfg, raw: cfg.Transport, group: identityMembers(nodes), sched: s}, nil
 }
 
 // Transport exposes the node's instrumented transport: its counters see

@@ -25,59 +25,25 @@ var errEmptyGradient = errors.New("compress: empty gradient")
 // Compressor selects a sparse subset of a gradient vector targeting a
 // compression ratio delta = k/d.
 //
-// CompressInto is the streaming fast path: the selection lands in
+// CompressInto is the only entry point: the selection lands in
 // caller-owned storage, and every in-repo compressor keeps per-instance
 // scratch (fit buffers, sample buffers, radix-select histograms) so
-// steady-state iterations are allocation-free. Compress remains the
-// convenient allocating form; pre-pipeline implementations that only
-// have Compress are lifted via Adapt.
+// steady-state iterations are allocation-free. FreshCompress is the
+// allocating convenience form for one-off callers.
 type Compressor interface {
 	// Name returns a short identifier used in reports ("topk", "dgc", ...).
 	Name() string
-	// Compress sparsifies g at target ratio delta in (0, 1]. The returned
-	// sparse vector has ascending unique indices. Implementations must not
-	// modify g.
-	Compress(g []float64, delta float64) (*tensor.Sparse, error)
-	// CompressInto sparsifies g into dst, resetting dst first and reusing
-	// its storage. dst is left untouched on error. Implementations must
-	// not modify g and must not retain dst or alias internal scratch into
-	// it — the caller owns dst between calls.
+	// CompressInto sparsifies g at target ratio delta in (0, 1] into dst,
+	// resetting dst first and reusing its storage. The selection has
+	// ascending unique indices. dst is left untouched on error.
+	// Implementations must not modify g and must not retain dst or alias
+	// internal scratch into it — the caller owns dst between calls.
 	CompressInto(dst *tensor.Sparse, g []float64, delta float64) error
 }
 
-// Legacy is the pre-pipeline compressor contract: Compress only. Adapt
-// lifts a Legacy implementation into the full Compressor interface.
-type Legacy interface {
-	Name() string
-	Compress(g []float64, delta float64) (*tensor.Sparse, error)
-}
-
-// Adapt wraps a Legacy compressor so it satisfies Compressor: the
-// CompressInto fast path falls back to Compress plus a copy into dst. If
-// c already implements Compressor it is returned unchanged.
-func Adapt(c Legacy) Compressor {
-	if full, ok := c.(Compressor); ok {
-		return full
-	}
-	return adapted{c}
-}
-
-type adapted struct{ Legacy }
-
-// CompressInto implements Compressor by allocating through the wrapped
-// Compress and copying — correct but not allocation-free.
-func (a adapted) CompressInto(dst *tensor.Sparse, g []float64, delta float64) error {
-	s, err := a.Legacy.Compress(g, delta)
-	if err != nil {
-		return err
-	}
-	dst.CopyFrom(s)
-	return nil
-}
-
-// FreshCompress implements the allocating Compress in terms of a
-// CompressInto fast path: every concrete compressor's Compress is this
-// one-liner, so the two entry points cannot drift.
+// FreshCompress runs c's CompressInto into a newly allocated sparse
+// vector — the allocating form for callers that do not keep a reusable
+// destination.
 func FreshCompress(c Compressor, g []float64, delta float64) (*tensor.Sparse, error) {
 	dst := &tensor.Sparse{}
 	if err := c.CompressInto(dst, g, delta); err != nil {
@@ -166,12 +132,6 @@ type None struct{}
 // Name implements Compressor.
 func (None) Name() string { return "none" }
 
-// Compress implements Compressor; delta is ignored and the whole vector is
-// kept.
-func (n None) Compress(g []float64, delta float64) (*tensor.Sparse, error) {
-	return FreshCompress(n, g, delta)
-}
-
 // CompressInto implements Compressor.
 //
 //sidco:hotpath
@@ -206,11 +166,6 @@ func (*TopK) Name() string { return "topk" }
 // goroutines with bit-identical selection.
 func (t *TopK) SetParallelism(p int) { t.sel.SetParallelism(p) }
 
-// Compress implements Compressor.
-func (t *TopK) Compress(g []float64, delta float64) (*tensor.Sparse, error) {
-	return FreshCompress(t, g, delta)
-}
-
 // CompressInto implements Compressor.
 //
 //sidco:hotpath
@@ -233,11 +188,6 @@ type Threshold struct {
 
 // Name implements Compressor.
 func (Threshold) Name() string { return "threshold" }
-
-// Compress implements Compressor; delta is ignored.
-func (t Threshold) Compress(g []float64, delta float64) (*tensor.Sparse, error) {
-	return FreshCompress(t, g, delta)
-}
 
 // CompressInto implements Compressor; delta is ignored.
 //

@@ -63,15 +63,9 @@ func (e *ErrorFeedback) SetParallelism(p int) {
 // Name implements Compressor.
 func (e *ErrorFeedback) Name() string { return e.Inner.Name() + "+ec" }
 
-// Compress implements Compressor. It compresses g + residual and folds the
-// uncompressed remainder back into the residual. The input g is not
-// modified.
-func (e *ErrorFeedback) Compress(g []float64, delta float64) (*tensor.Sparse, error) {
-	return FreshCompress(e, g, delta)
-}
-
-// CompressInto implements Compressor, delegating the selection to the
-// wrapped compressor's fast path. The residual bookkeeping itself is
+// CompressInto implements Compressor. It compresses g + residual through
+// the wrapped compressor and folds the uncompressed remainder back into
+// the residual; g is not modified. The residual bookkeeping itself is
 // allocation-free after the first call.
 //
 //sidco:hotpath

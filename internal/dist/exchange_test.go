@@ -40,7 +40,7 @@ func TestInProcessExchangeSparse(t *testing.T) {
 		for i := range g {
 			g[i] = rng.NormFloat64()
 		}
-		s, err := compress.NewTopK().Compress(g, 0.1)
+		s, err := compress.FreshCompress(compress.NewTopK(), g, 0.1)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/netsim"
 	"repro/internal/simgrad"
 	"repro/internal/stats"
+	"repro/internal/tensor"
 )
 
 // SimConfig drives one simulated training run of a Table 1 workload: a
@@ -163,14 +164,14 @@ func SimulateWorkload(cfg SimConfig) (*SimResult, error) {
 		logSum   float64
 		series   = make([]float64, 0, cfg.Iters)
 		buf      = make([]float64, simDim)
+		s        tensor.Sparse
 		sumComp  float64
 		sumComm  float64
 		sumTotal float64
 	)
 	for i := 0; i < cfg.Iters; i++ {
 		gen.Fill(buf)
-		s, err := comp.Compress(buf, delta)
-		if err != nil {
+		if err := comp.CompressInto(&s, buf, delta); err != nil {
 			return nil, fmt.Errorf("dist: %s on %s: %w", name, wl.Name, err)
 		}
 		ratio := float64(s.NNZ()) / float64(kSim)

@@ -10,6 +10,7 @@ import (
 	"repro/internal/device"
 	"repro/internal/simgrad"
 	"repro/internal/stats"
+	"repro/internal/tensor"
 )
 
 // qualityOf streams gradients from gen through comp and returns the mean
@@ -19,10 +20,10 @@ func qualityOf(comp compress.Compressor, gen *simgrad.Generator, dim int, delta 
 	var r stats.Running
 	sumLog := 0.0
 	buf := make([]float64, dim)
+	var s tensor.Sparse
 	for i := 0; i < iters; i++ {
 		gen.Fill(buf)
-		s, err := comp.Compress(buf, delta)
-		if err != nil {
+		if err := comp.CompressInto(&s, buf, delta); err != nil {
 			return 0, 0, err
 		}
 		ratio := float64(s.NNZ()) / float64(k)

@@ -276,7 +276,7 @@ func formatBenches(opt BenchOptions) ([]FormatBench, error) {
 	if err != nil {
 		return nil, err
 	}
-	sp, err := comp.Compress(dense, opt.CollectiveDelta)
+	sp, err := compress.FreshCompress(comp, dense, opt.CollectiveDelta)
 	if err != nil {
 		return nil, err
 	}
@@ -332,15 +332,12 @@ func compressorBench(name string, opt BenchOptions) (CompressorBench, error) {
 	})
 	g := gen.Next()
 	k := compress.TargetK(opt.Dim, opt.Delta)
-	var nnz int
+	var s tensor.Sparse
 	var benchErr error
 	mean := timeIt(opt.Iters, func() {
-		s, err := comp.Compress(g, opt.Delta)
-		if err != nil {
+		if err := comp.CompressInto(&s, g, opt.Delta); err != nil {
 			benchErr = err
-			return
 		}
-		nnz = s.NNZ()
 	})
 	if benchErr != nil {
 		return CompressorBench{}, fmt.Errorf("harness: bench %s: %w", name, benchErr)
@@ -351,7 +348,7 @@ func compressorBench(name string, opt BenchOptions) (CompressorBench, error) {
 	}
 	return CompressorBench{
 		Name: name, Dim: opt.Dim, Delta: opt.Delta, Iters: opt.Iters,
-		MeanSec: mean, MBPerSec: mbps, KHatOverK: float64(nnz) / float64(k),
+		MeanSec: mean, MBPerSec: mbps, KHatOverK: float64(s.NNZ()) / float64(k),
 	}, nil
 }
 
@@ -393,7 +390,7 @@ func collectiveBench(c netsim.Collective, chunks int, opt BenchOptions) (Collect
 	for w := range ins {
 		dense := make([]float64, opt.CollectiveDim)
 		gen.Fill(dense)
-		sp, err := comp.Compress(dense, opt.CollectiveDelta)
+		sp, err := compress.FreshCompress(comp, dense, opt.CollectiveDelta)
 		if err != nil {
 			return CollectiveBench{}, err
 		}

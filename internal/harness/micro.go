@@ -11,6 +11,7 @@ import (
 	"repro/internal/dist"
 	"repro/internal/simgrad"
 	"repro/internal/stats"
+	"repro/internal/tensor"
 )
 
 // Options scales experiments down for tests and benches; zero values take
@@ -59,10 +60,10 @@ func estimationQuality(name string, dim int, delta float64, opt Options) (mean, 
 	k := compress.TargetK(dim, delta)
 	var r stats.Running
 	buf := make([]float64, dim)
+	var s tensor.Sparse
 	for i := 0; i < opt.Iters; i++ {
 		gen.Fill(buf)
-		s, err := comp.Compress(buf, delta)
-		if err != nil {
+		if err := comp.CompressInto(&s, buf, delta); err != nil {
 			return 0, 0, 0, err
 		}
 		r.Add(float64(s.NNZ()) / float64(k))
@@ -228,19 +229,17 @@ func GoWallClock(w io.Writer, dim int, delta float64, iters int, seed int64) err
 		if err != nil {
 			return err
 		}
-		var nnz int
+		var s tensor.Sparse
 		elapsed := timeIt(iters, func() {
-			s, err := comp.Compress(g, delta)
-			if err != nil {
+			if err := comp.CompressInto(&s, g, delta); err != nil {
 				panic(err)
 			}
-			nnz = s.NNZ()
 		})
 		if name == "topk" {
 			topkTime = elapsed
 		}
 		tbl.AddRow(name, FmtSecs(elapsed), FmtX(topkTime/elapsed),
-			fmt.Sprintf("%.3f", float64(nnz)/float64(k)))
+			fmt.Sprintf("%.3f", float64(s.NNZ())/float64(k)))
 	}
 	tbl.Render(w)
 	return nil

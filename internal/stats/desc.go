@@ -6,61 +6,22 @@ import (
 )
 
 // sumBlock is the fixed accumulation granularity of every mean/variance
-// reduction in this package: partial sums are computed per 4096-element
-// block and combined in block order. The block structure is independent
-// of how many workers compute the partials, which is what makes the Par
-// variants bit-identical to the serial functions at any parallelism.
+// reduction in this package: one kernel, one driver. Each statistic's
+// per-block body is written once (kernel.block), and (*Par).reduce is
+// its only driver: it computes one partial per 4096-element block —
+// inline when serial, on P workers otherwise — and combines the
+// partials in block order. The block structure is independent of how
+// many workers compute the partials, so every statistic is
+// bit-identical at any parallelism.
 const sumBlock = 4096
 
-// blockSum sums xs by fixed blocks: one partial per sumBlock elements,
-// combined in block order.
-func blockSum(xs []float64) float64 {
-	total := 0.0
-	for lo := 0; lo < len(xs); lo += sumBlock {
-		hi := lo + sumBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		s := 0.0
-		for _, x := range xs[lo:hi] {
-			s += x
-		}
-		total += s
-	}
-	return total
-}
-
 // Mean returns the arithmetic mean of xs, or NaN for empty input.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	return blockSum(xs) / float64(len(xs))
-}
+func Mean(xs []float64) float64 { return (*Par)(nil).Mean(xs) }
 
 // Variance returns the population variance (divide by n) of xs, matching
 // the moment estimators used in the paper's closed-form fitters. It returns
 // NaN for empty input.
-func Variance(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	m := Mean(xs)
-	total := 0.0
-	for lo := 0; lo < len(xs); lo += sumBlock {
-		hi := lo + sumBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		s := 0.0
-		for _, x := range xs[lo:hi] {
-			d := x - m
-			s += d * d
-		}
-		total += s
-	}
-	return total / float64(len(xs))
-}
+func Variance(xs []float64) float64 { return (*Par)(nil).Variance(xs) }
 
 // SampleVariance returns the unbiased sample variance (divide by n-1) of
 // xs, or NaN when fewer than two observations are supplied.
@@ -83,85 +44,18 @@ func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 // MeanAbs returns the mean of |x| over xs — the maximum-likelihood scale
 // estimate for Laplace-distributed data (Corollary 1.1). It returns NaN for
 // empty input.
-func MeanAbs(xs []float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	total := 0.0
-	for lo := 0; lo < len(xs); lo += sumBlock {
-		hi := lo + sumBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		s := 0.0
-		for _, x := range xs[lo:hi] {
-			s += math.Abs(x)
-		}
-		total += s
-	}
-	return total / float64(len(xs))
-}
+func MeanAbs(xs []float64) float64 { return (*Par)(nil).MeanAbs(xs) }
 
 // MeanVarAbs returns the mean and population variance of |x| over xs in a
 // single pass — the two moments the GP moment-matching fitter consumes.
-func MeanVarAbs(xs []float64) (mean, variance float64) {
-	if len(xs) == 0 {
-		return math.NaN(), math.NaN()
-	}
-	sum, sumSq := 0.0, 0.0
-	for lo := 0; lo < len(xs); lo += sumBlock {
-		hi := lo + sumBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		s, s2 := 0.0, 0.0
-		for _, x := range xs[lo:hi] {
-			a := math.Abs(x)
-			s += a
-			s2 += a * a
-		}
-		sum += s
-		sumSq += s2
-	}
-	n := float64(len(xs))
-	mean = sum / n
-	variance = sumSq/n - mean*mean
-	if variance < 0 {
-		variance = 0 // guard against catastrophic cancellation
-	}
-	return mean, variance
-}
+func MeanVarAbs(xs []float64) (mean, variance float64) { return (*Par)(nil).MeanVarAbs(xs) }
 
 // MeanLogAbs returns the mean of log|x| over the non-zero entries of xs —
 // the sufficient statistic s = log(mean) - mean(log) of the Minka gamma
 // fitter. Entries equal to zero are skipped (log 0 would poison the sum;
 // in SIDCo they correspond to exactly-zero gradients, which carry no shape
 // information). It returns NaN if all entries are zero or xs is empty.
-func MeanLogAbs(xs []float64) float64 {
-	sum := 0.0
-	n := 0
-	for lo := 0; lo < len(xs); lo += sumBlock {
-		hi := lo + sumBlock
-		if hi > len(xs) {
-			hi = len(xs)
-		}
-		s, c := 0.0, 0
-		for _, x := range xs[lo:hi] {
-			a := math.Abs(x)
-			if a == 0 {
-				continue
-			}
-			s += math.Log(a)
-			c++
-		}
-		sum += s
-		n += c
-	}
-	if n == 0 {
-		return math.NaN()
-	}
-	return sum / float64(n)
-}
+func MeanLogAbs(xs []float64) float64 { return (*Par)(nil).MeanLogAbs(xs) }
 
 // MinMax returns the minimum and maximum of xs, or (NaN, NaN) for empty
 // input.

@@ -32,16 +32,7 @@ type GammaParams struct {
 // Zero entries are skipped in the log-mean (they carry no shape
 // information); degenerate inputs produce NaN parameters, which callers
 // treat as "fit unavailable".
-func FitGammaAbs(xs []float64) GammaParams {
-	mu := MeanAbs(xs)
-	muLog := MeanLogAbs(xs)
-	s := math.Log(mu) - muLog
-	if !(s > 0) { // NaN or non-positive: data degenerate (constant or empty)
-		return GammaParams{Shape: math.NaN(), Scale: math.NaN()}
-	}
-	alpha := (3 - s + math.Sqrt((s-3)*(s-3)+24*s)) / (12 * s)
-	return GammaParams{Shape: alpha, Scale: mu / alpha}
-}
+func FitGammaAbs(xs []float64) GammaParams { return (*Par)(nil).FitGammaAbs(xs) }
 
 // GPParams holds the shape/scale estimates of a generalized Pareto fit
 // (location is supplied by the caller as the previous-stage threshold).
@@ -80,36 +71,10 @@ func FitGPAbs(xs []float64) GPParams {
 // >= loc) after shifting by loc, per Lemma 2: the moments are those of
 // |g| - loc.
 func FitGPExceedance(absXS []float64, loc float64) GPParams {
-	if len(absXS) == 0 {
-		return GPParams{Shape: math.NaN(), Scale: math.NaN()}
-	}
-	sum, sumSq := 0.0, 0.0
-	for lo := 0; lo < len(absXS); lo += sumBlock {
-		hi := lo + sumBlock
-		if hi > len(absXS) {
-			hi = len(absXS)
-		}
-		bs, bs2 := 0.0, 0.0
-		for _, a := range absXS[lo:hi] {
-			s := a - loc
-			bs += s
-			bs2 += s * s
-		}
-		sum += bs
-		sumSq += bs2
-	}
-	n := float64(len(absXS))
-	mean := sum / n
-	variance := sumSq/n - mean*mean
-	if variance < 0 {
-		variance = 0
-	}
-	return FitGPMoments(mean, variance)
+	return (*Par)(nil).FitGPExceedance(absXS, loc)
 }
 
 // FitGaussian fits a normal distribution to xs by maximum likelihood
 // (sample mean and population standard deviation). The GaussianKSGD
 // baseline uses this on raw gradients.
-func FitGaussian(xs []float64) Gaussian {
-	return Gaussian{Mu: Mean(xs), Sigma: StdDev(xs)}
-}
+func FitGaussian(xs []float64) Gaussian { return (*Par)(nil).FitGaussian(xs) }

@@ -49,3 +49,50 @@ func TestParBitIdentity(t *testing.T) {
 		}
 	}
 }
+
+// TestSerialReductionsAllocFree checks the package-level reductions (a
+// nil *Par) and a P=1 Par allocate nothing on a 2^17 input: the serial
+// driver must walk the blocks inline, with no kernel value or closure
+// escaping to the heap.
+func TestSerialReductionsAllocFree(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	xs := make([]float64, 1<<17)
+	abs := make([]float64, len(xs))
+	for i := range xs {
+		xs[i] = rng.NormFloat64()
+		abs[i] = 1 + math.Abs(xs[i])
+	}
+	pp := &Par{P: 1}
+	var sink float64
+	cases := []struct {
+		name string
+		fn   func()
+	}{
+		{"Mean", func() { sink += Mean(xs) }},
+		{"MeanAbs", func() { sink += MeanAbs(xs) }},
+		{"MeanVarAbs", func() { m, v := MeanVarAbs(xs); sink += m + v }},
+		{"MeanLogAbs", func() { sink += MeanLogAbs(xs) }},
+		{"Variance", func() { sink += Variance(xs) }},
+		{"MaxAbs", func() { sink += MaxAbs(xs) }},
+		{"FitGPExceedance", func() { sink += FitGPExceedance(abs, 1).Scale }},
+		{"FitGammaAbs", func() { sink += FitGammaAbs(xs).Scale }},
+		{"FitGaussian", func() { sink += FitGaussian(xs).Sigma }},
+		{"Par.Mean", func() { sink += pp.Mean(xs) }},
+		{"Par.MeanAbs", func() { sink += pp.MeanAbs(xs) }},
+		{"Par.MeanVarAbs", func() { m, v := pp.MeanVarAbs(xs); sink += m + v }},
+		{"Par.MeanLogAbs", func() { sink += pp.MeanLogAbs(xs) }},
+		{"Par.Variance", func() { sink += pp.Variance(xs) }},
+		{"Par.MaxAbs", func() { sink += pp.MaxAbs(xs) }},
+		{"Par.FitGPExceedance", func() { sink += pp.FitGPExceedance(abs, 1).Scale }},
+		{"Par.FitGammaAbs", func() { sink += pp.FitGammaAbs(xs).Scale }},
+		{"Par.FitGaussian", func() { sink += pp.FitGaussian(xs).Sigma }},
+	}
+	for _, c := range cases {
+		if got := testing.AllocsPerRun(5, c.fn); got != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, got)
+		}
+	}
+	if math.IsNaN(sink) {
+		t.Fatal("reductions of a finite input returned NaN")
+	}
+}
