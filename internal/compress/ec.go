@@ -52,9 +52,9 @@ func (e *ErrorFeedback) SetWireFormat(f encoding.Format) {
 func (e *ErrorFeedback) ClearWireFormat() { e.wireSet = false }
 
 // SetParallelism implements Parallelizable: the dense
-// residual-accumulate and residual-rebuild passes fan out over p
-// goroutines (elementwise on disjoint ranges, so trivially
-// bit-identical), and the knob forwards to the wrapped compressor.
+// residual-accumulate pass fans out over p goroutines (elementwise on
+// disjoint ranges, so trivially bit-identical), and the knob forwards to
+// the wrapped compressor.
 func (e *ErrorFeedback) SetParallelism(p int) {
 	e.parP = p
 	SetParallelism(e.Inner, p)
@@ -79,22 +79,21 @@ func (e *ErrorFeedback) CompressInto(dst *tensor.Sparse, g []float64, delta floa
 		return fmt.Errorf("compress: EC residual dimension changed from %d to %d", len(e.residual), d) //sidco:alloc misuse error path, not steady state
 	}
 
+	// corrected = g + residual in one pass, into the scratch buffer.
 	corrected := e.buf
 	p := e.parP
 	if p < 1 || d < 1<<14 {
 		p = 1
 	}
 	// The serial path is written out rather than run as par.Do(1, ...):
-	// the range-bounded closures capture locals and would allocate,
+	// the range-bounded closure captures locals and would allocate,
 	// breaking the zero-alloc steady-state contract at P=1.
 	if p == 1 {
-		copy(corrected, g)
-		tensor.Add(e.residual, corrected)
+		addInto(corrected, g, e.residual)
 	} else {
 		par.Do(p, func(w int) { //sidco:alloc P>1 fan-out only; the zero-alloc P=1 path is written out above
 			lo, hi := par.RangeBounds(d, p, w)
-			copy(corrected[lo:hi], g[lo:hi])
-			tensor.Add(e.residual[lo:hi], corrected[lo:hi])
+			addInto(corrected[lo:hi], g[lo:hi], e.residual[lo:hi])
 		})
 	}
 
@@ -110,24 +109,28 @@ func (e *ErrorFeedback) CompressInto(dst *tensor.Sparse, g []float64, delta floa
 		}
 	}
 
-	// residual = corrected - scatter(selection)
-	if p == 1 {
-		copy(e.residual, corrected)
-	} else {
-		par.Do(p, func(w int) { //sidco:alloc P>1 fan-out only; the zero-alloc P=1 path is written out above
-			lo, hi := par.RangeBounds(d, p, w)
-			copy(e.residual[lo:hi], corrected[lo:hi])
-		})
-	}
+	// residual = corrected - scatter(selection): corrected becomes the
+	// residual in place, and the old residual becomes next call's scratch.
+	e.residual, e.buf = corrected, e.residual
 	for i, j := range dst.Idx {
 		e.residual[j] -= dst.Vals[i]
 	}
 	return nil
 }
 
+// addInto writes x + y into dst elementwise.
+func addInto(dst, x, y []float64) {
+	x, y = x[:len(dst)], y[:len(dst)]
+	for i := range dst {
+		dst[i] = x[i] + y[i]
+	}
+}
+
 // Residual exposes the current residual for tests and fitting studies
 // (Figure 8 fits gradients after EC accumulation). Callers must not
-// modify it.
+// modify it, and it is valid only until the next CompressInto: the
+// wrapper swaps its residual and scratch buffers on every call, so read
+// or copy it straight away.
 func (e *ErrorFeedback) Residual() []float64 { return e.residual }
 
 // RestoreResidual overwrites the carried residual with a checkpointed

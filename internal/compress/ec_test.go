@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/encoding"
 	"repro/internal/tensor"
 )
 
@@ -139,6 +140,47 @@ func TestErrorFeedbackDoesNotModifyInput(t *testing.T) {
 	for i := range g {
 		if g[i] != orig[i] {
 			t.Fatal("EC modified its input")
+		}
+	}
+}
+
+// TestErrorFeedbackResidualIsExactRemainder checks the residual bit for
+// bit after each of several consecutive calls: it must equal
+// g + r_prev - scatter(selection), where the selection is what the
+// caller received (wire-rounded when a wire format is set). P=2 covers
+// the fanned-out residual pass; consecutive calls cover the wrapper
+// trading its residual and scratch buffers.
+func TestErrorFeedbackResidualIsExactRemainder(t *testing.T) {
+	const d = 1<<15 + 17
+	for _, p := range []int{1, 2} {
+		for _, wire := range []bool{false, true} {
+			ec := NewErrorFeedback(NewTopK())
+			ec.SetParallelism(p)
+			if wire {
+				ec.SetWireFormat(encoding.FormatPairsI8)
+			}
+			prev := make([]float64, d)
+			want := make([]float64, d)
+			dst := &tensor.Sparse{}
+			for call := 0; call < 6; call++ {
+				g := laplaceVec(d, 0.01, int64(40+call))
+				if err := ec.CompressInto(dst, g, 0.01); err != nil {
+					t.Fatal(err)
+				}
+				for i := range want {
+					want[i] = g[i] + prev[i]
+				}
+				for i, j := range dst.Idx {
+					want[j] -= dst.Vals[i]
+				}
+				res := ec.Residual()
+				for i := range want {
+					if math.Float64bits(res[i]) != math.Float64bits(want[i]) {
+						t.Fatalf("p=%d wire=%v call %d: residual[%d] = %v, want %v", p, wire, call, i, res[i], want[i])
+					}
+				}
+				copy(prev, res)
+			}
 		}
 	}
 }

@@ -114,6 +114,7 @@ type SIDCo struct {
 	lastEta     float64
 	lastUsedM   int
 	lastRescued bool
+	meanAbs     float64 // mean |g| of the current call, from the stage-1 fit
 
 	// Streaming-path scratch, reused across iterations: the exceedance
 	// magnitudes of the multi-stage loop and the per-stage ratio
@@ -223,7 +224,7 @@ func (s *SIDCo) CompressInto(dst *tensor.Sparse, g []float64, delta float64) err
 	}
 	collapsed := func(kh int) bool { return kh*3 < k || kh > 3*k } //sidco:alloc non-escaping closure, stack-allocated
 	if kHat := dst.NNZ(); collapsed(kHat) {
-		beta := s.stat.MeanAbs(g)
+		beta := s.meanAbs
 		if beta > 0 {
 			obs := float64(kHat)
 			if obs < 1 {
@@ -297,7 +298,8 @@ func (s *SIDCo) estimateThreshold(g []float64, delta float64, m int) (eta float6
 		}
 		// Keep only exceedances of the new threshold for the next stage.
 		// The values are already magnitudes, so the strict-exceedance
-		// gather doubles as the in-place compaction (per-worker buffers
+		// gather doubles as the in-place compaction (the serial gather
+		// never writes past the element it reads, and per-worker buffers
 		// are filled before dst is touched, making the aliasing safe).
 		s.exceed = s.par.ValuesAbove(s.exceed, next, s.exceed[:0])
 		eta = next
@@ -307,13 +309,18 @@ func (s *SIDCo) estimateThreshold(g []float64, delta float64, m int) (eta float6
 }
 
 // firstStageThreshold computes the single-stage threshold from the full
-// gradient (Thresh_Estimation in Algorithm 1).
+// gradient (Thresh_Estimation in Algorithm 1). It records the mean |g|
+// for the rescue: every first-stage fit already reduces it, and
+// MeanVarAbs sums |g| exactly as MeanAbs does, so no SID needs another
+// pass over g.
 func (s *SIDCo) firstStageThreshold(g []float64, delta float64) float64 {
 	switch s.cfg.SID {
 	case SIDExponential:
-		return ThresholdExp(s.stat.MeanAbs(g), delta)
+		s.meanAbs = s.stat.MeanAbs(g)
+		return ThresholdExp(s.meanAbs, delta)
 	case SIDGammaGP:
 		mu := s.stat.MeanAbs(g)
+		s.meanAbs = mu
 		muLog := s.stat.MeanLogAbs(g)
 		if s.cfg.ApproxGamma {
 			return ThresholdGamma(mu, muLog, delta)
@@ -321,8 +328,10 @@ func (s *SIDCo) firstStageThreshold(g []float64, delta float64) float64 {
 		return ThresholdGammaExact(mu, muLog, delta)
 	case SIDGP:
 		mu, v := s.stat.MeanVarAbs(g)
+		s.meanAbs = mu
 		return ThresholdGP(mu, v, delta)
 	default:
+		s.meanAbs = s.stat.MeanAbs(g)
 		return math.NaN()
 	}
 }

@@ -34,7 +34,9 @@ type GradientExchange interface {
 
 // InProcess is the shared-memory reducer: sparse contributions are
 // scatter-added (O(sum of nnz), no per-worker densify) and dense ones
-// added, in worker-index order, then scaled to the mean.
+// added, in worker-index order, then scaled to the mean. A single
+// contribution is already its own mean, so the scaling pass (a multiply
+// by exactly 1) is skipped.
 type InProcess struct{}
 
 // Exchange implements GradientExchange.
@@ -50,6 +52,8 @@ func (InProcess) Exchange(step int, ins []ExchangeInput, agg []float64) error {
 			tensor.Add(in.Dense, agg)
 		}
 	}
-	tensor.Scale(1/float64(len(ins)), agg)
+	if len(ins) > 1 {
+		tensor.Scale(1/float64(len(ins)), agg)
+	}
 	return nil
 }

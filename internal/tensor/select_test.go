@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"sort"
@@ -288,5 +289,30 @@ func BenchmarkCountAboveThreshold(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		CountAboveThreshold(g, 2.5)
+	}
+}
+
+// BenchmarkValuesAboveThreshold times the exceedance gather over 2^20
+// Laplace values at SIDCo's first-stage selectivity (delta1 = 25%) and
+// at a final-stage one (0.1%).
+func BenchmarkValuesAboveThreshold(b *testing.B) {
+	rng := rand.New(rand.NewSource(25))
+	g := make([]float64, 1<<20)
+	for i := range g {
+		g[i] = rng.ExpFloat64()
+		if rng.Intn(2) == 0 {
+			g[i] = -g[i]
+		}
+	}
+	for _, sel := range []float64{0.25, 0.001} {
+		b.Run(fmt.Sprintf("sel=%v", sel), func(b *testing.B) {
+			eta := math.Log(1 / sel) // P(|x| > eta) = exp(-eta) for unit Laplace
+			dst := ValuesAboveThreshold(g, eta, nil)
+			b.SetBytes(int64(8 * len(g)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst = ValuesAboveThreshold(g, eta, dst[:0])
+			}
+		})
 	}
 }

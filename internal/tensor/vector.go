@@ -128,15 +128,39 @@ func FilterAboveThreshold(x []float64, eta float64, idx []int32, vals []float64)
 	return idx, vals
 }
 
+// gatherChunk is how many elements ValuesAboveThreshold compacts per
+// capacity check.
+const gatherChunk = 256
+
 // ValuesAboveThreshold appends the |values| of elements with |x_i| > eta to
 // dst and returns it. The strict inequality matches the exceedance
 // definition of the multi-stage estimator (values equal to the previous
 // threshold have already been counted).
+//
+// It is a branch-free stream compaction: every |x_i| is written to the
+// next free slot and the write index advances only when it exceeds eta,
+// so the loop carries no data-dependent branch to mispredict at the
+// ~25% selectivity of a first stage. The write index never passes the
+// read index, so compacting in place, ValuesAboveThreshold(x, eta, x[:0]),
+// is safe.
 func ValuesAboveThreshold(x []float64, eta float64, dst []float64) []float64 {
-	for _, xi := range x {
-		if a := math.Abs(xi); a > eta {
-			dst = append(dst, a)
+	for len(x) > 0 {
+		n := min(len(x), gatherChunk)
+		j := len(dst)
+		if cap(dst)-j < n {
+			dst = append(dst[:cap(dst)], make([]float64, n)...)[:j]
 		}
+		buf := dst[j : j+n]
+		k := 0
+		for _, xi := range x[:n] {
+			a := math.Abs(xi)
+			buf[k] = a
+			if a > eta {
+				k++
+			}
+		}
+		dst = dst[:j+k]
+		x = x[n:]
 	}
 	return dst
 }

@@ -171,3 +171,89 @@ func TestTopKMinimizesSparsificationError(t *testing.T) {
 		}
 	}
 }
+
+// valuesAboveRef is the naive branchy exceedance gather the production
+// kernel must reproduce bit for bit.
+func valuesAboveRef(x []float64, eta float64, dst []float64) []float64 {
+	for _, xi := range x {
+		if a := math.Abs(xi); a > eta {
+			dst = append(dst, a)
+		}
+	}
+	return dst
+}
+
+// gatherInput mixes every value class the gather must treat like the
+// reference: NaN, ±Inf, ±0, magnitudes exactly at eta on either sign,
+// and ordinary values on both sides of it.
+func gatherInput(n int, eta float64, seed int64) []float64 {
+	rng := rand.New(rand.NewSource(seed))
+	specials := []float64{math.NaN(), math.Inf(1), math.Inf(-1), 0, math.Copysign(0, -1), eta, -eta}
+	x := make([]float64, n)
+	for i := range x {
+		if rng.Intn(4) == 0 {
+			x[i] = specials[rng.Intn(len(specials))]
+		} else {
+			x[i] = rng.NormFloat64()
+		}
+	}
+	return x
+}
+
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestValuesAboveThresholdMatchesReference compares the gather bitwise
+// against valuesAboveRef across chunk-boundary lengths, special values,
+// destination prefixes and capacities, and the aliased in-place call the
+// multi-stage loop makes on magnitudes.
+func TestValuesAboveThresholdMatchesReference(t *testing.T) {
+	lengths := []int{0, 1, gatherChunk - 1, gatherChunk, gatherChunk + 1, 3*gatherChunk + 7}
+	etas := []float64{0, 0.5, 1, -1, math.Inf(1), math.NaN()}
+	prefix := []float64{7, math.NaN(), -3}
+	for _, n := range lengths {
+		for ei, eta := range etas {
+			x := gatherInput(n, eta, int64(100*n+ei))
+			want := valuesAboveRef(x, eta, nil)
+			wantPre := valuesAboveRef(x, eta, append([]float64(nil), prefix...))
+
+			dsts := []struct {
+				name string
+				dst  []float64
+			}{
+				{"nil", nil},
+				{"zero-cap", make([]float64, 0)},
+				{"exact-cap", make([]float64, 0, len(want))},
+				{"input-cap", make([]float64, 0, n)},
+				{"prefix-full-cap", append([]float64(nil), prefix...)[:3:3]},
+				{"prefix-exact-cap", append(make([]float64, 0, len(wantPre)), prefix...)},
+			}
+			for _, c := range dsts {
+				exp := want
+				if len(c.dst) > 0 {
+					exp = wantPre
+				}
+				if got := ValuesAboveThreshold(x, eta, c.dst); !sameBits(got, exp) {
+					t.Fatalf("n=%d eta=%v dst=%s: got %v, want %v", n, eta, c.name, got, exp)
+				}
+			}
+
+			// Aliased in place, as estimateThreshold compacts its
+			// exceedance magnitudes: the output overwrites the input.
+			mags := Abs(x, nil)
+			wantMags := valuesAboveRef(mags, eta, nil)
+			if got := ValuesAboveThreshold(mags, eta, mags[:0]); !sameBits(got, wantMags) {
+				t.Fatalf("n=%d eta=%v aliased: got %v, want %v", n, eta, got, wantMags)
+			}
+		}
+	}
+}
