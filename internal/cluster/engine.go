@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -9,7 +10,6 @@ import (
 	"repro/internal/encoding"
 	"repro/internal/netsim"
 	"repro/internal/telemetry"
-	"repro/internal/tensor"
 )
 
 // Config assembles a cluster Engine.
@@ -63,11 +63,13 @@ type Config struct {
 	// setting. 0 or 1 decodes sequentially.
 	Parallelism int
 	// StepTimeout, when positive, bounds every blocking receive of one
-	// exchange: a worker stuck past the deadline fails its step with an
-	// error wrapping ErrTimeout instead of hanging. The Engine stays
-	// fail-stop — the classified error surfaces from Exchange and the
-	// engine shuts down; elastic recovery (retry over the surviving
-	// members) is Node's, the per-process runner. 0 disables deadlines.
+	// exchange on every hosted node, the parameter server included: a
+	// node stuck past the deadline fails its round with an error wrapping
+	// ErrTimeout instead of hanging. The Engine stays fail-stop — its
+	// nodes run without retries, so the classified error surfaces from
+	// Exchange and the engine shuts down; elastic recovery (retry over
+	// the surviving members, NodeConfig.MaxStepRetries) is for Nodes in
+	// processes of their own. 0 disables deadlines.
 	StepTimeout time.Duration
 	// Telemetry, if non-nil, traces every round (per-node collective
 	// spans, per-chunk encode spans) and the gradient traffic on the
@@ -182,65 +184,8 @@ func (w Wire) Format() (encoding.Format, error) {
 	}
 }
 
-// newSched validates the settings Engine and Node share — Workers,
-// Collective, Format, Chunks, CompressSec, StepTimeout and the transport
-// size — and builds the schedule runner over cfg.Transport (an
-// in-process ChanTransport when nil), instrumented with cfg.Scenario and
-// cfg.Telemetry.
-//
-//sidco:errclass construction-time config validation, deliberately fatal
-func newSched(cfg Config) (sched, error) {
-	if cfg.Workers < 1 {
-		return sched{}, fmt.Errorf("cluster: Workers = %d, need >= 1", cfg.Workers)
-	}
-	switch cfg.Collective {
-	case netsim.CollectiveAuto, netsim.CollectiveRing, netsim.CollectiveAllGather, netsim.CollectivePS:
-	default:
-		return sched{}, fmt.Errorf("cluster: unknown collective %v", cfg.Collective)
-	}
-	format, err := cfg.Format.Format()
-	if err != nil {
-		return sched{}, err
-	}
-	if err := validateChunks(cfg.Chunks, cfg.Collective); err != nil {
-		return sched{}, err
-	}
-	if cfg.CompressSec < 0 {
-		return sched{}, fmt.Errorf("cluster: CompressSec = %v, need >= 0", cfg.CompressSec)
-	}
-	if cfg.StepTimeout < 0 {
-		return sched{}, fmt.Errorf("cluster: StepTimeout = %v, need >= 0", cfg.StepTimeout)
-	}
-	nodes := NodeCount(cfg.Workers, cfg.Collective)
-	inner := cfg.Transport
-	if inner == nil {
-		if inner, err = NewChanTransport(nodes); err != nil {
-			return sched{}, err
-		}
-	}
-	if inner.Nodes() < nodes {
-		return sched{}, fmt.Errorf("cluster: transport has %d nodes, need %d", inner.Nodes(), nodes)
-	}
-	server := -1
-	if cfg.Collective == netsim.CollectivePS {
-		server = cfg.Workers
-	}
-	return sched{
-		workers:     cfg.Workers,
-		full:        identityMembers(cfg.Workers),
-		server:      server,
-		format:      format,
-		chunks:      cfg.Chunks,
-		parallel:    cfg.Parallelism,
-		computeSec:  cfg.ComputeSec,
-		compressSec: cfg.CompressSec,
-		tp:          NewInstrumented(inner, cfg.Scenario).WithTelemetry(cfg.Telemetry),
-		tel:         cfg.Telemetry,
-	}, nil
-}
-
 // validateChunks checks the chunked-mode configuration against the
-// selected collective, shared by Engine and Node construction. Auto is
+// selected collective at construction (newInstrumented). Auto is
 // accepted: it resolves to the all-gather on every sparse exchange, and
 // the per-exchange resolution re-validates if a dense round slips in.
 //
@@ -279,81 +224,78 @@ func resolveCollective(c netsim.Collective, sparse bool, chunks int) (netsim.Col
 	return c, nil
 }
 
-// job is one node's share of a gradient exchange.
-type job struct {
-	step   int
-	sparse *tensor.Sparse // nil on the dense path
-	dense  []float64
-	dim    int
-	coll   netsim.Collective // resolved collective, never Auto
-	// members is the participating worker node-id list (ascending) of an
-	// elastic deployment; nil means full membership 0..workers-1.
-	members []int
-	// deadline, when non-zero, bounds every blocking receive of the
-	// schedule run; a receive past it fails with ErrTimeout.
-	deadline time.Time
-}
-
-// result is what a node reports back after running its schedule.
-type result struct {
-	node int
-	err  error
-}
-
-// Engine runs one goroutine per cluster node; each Exchange call hands
-// every node its worker's gradient, the nodes execute the configured
-// collective as real message passing, and the aggregated mean lands in
-// the caller's buffer. Engine satisfies dist.GradientExchange, so it
-// plugs directly into dist.TrainerConfig.Exchange.
+// Engine hosts every node of a deployment in one process: the Workers
+// worker Nodes, plus the server Node under CollectivePS, over one shared
+// instrumented Transport (in-process channels by default, or a
+// TCPTransport hosting every node for loopback-socket runs). Each
+// Exchange hands every worker its gradient and runs all the nodes' rounds
+// concurrently on long-lived goroutines, one per hosted node, so the
+// collective executes as real message passing through exactly the
+// schedule code a per-process Node runs (cmd/sidco-node), and the agreed
+// mean lands in the caller's buffer. Engine satisfies
+// dist.GradientExchange, so it plugs directly into
+// dist.TrainerConfig.Exchange.
 //
-// Engine is the single-process deployment: all N nodes live in one
-// process and share one Transport (in-process channels by default, or a
-// TCPTransport hosting every node for loopback-socket runs). Node is the
-// one-node-per-process counterpart behind cmd/sidco-node.
+// The Engine is fail-stop: its nodes run without retries, so a failed
+// round closes the shared transport and the engine. Elastic recovery is
+// for Nodes in processes of their own (NodeConfig.MaxStepRetries).
 type Engine struct {
-	cfg     Config
-	sched   sched
-	jobs    []chan job
-	results chan result
-	outs    [][]float64 // per-node aggregation buffers
-	scratch []nodeScratch
-	ident   []int32 // shared 0..dim-1 ramp, aliased into every scratch
-	wg      sync.WaitGroup
-	closed  bool
+	cfg   Config
+	tp    *Instrumented
+	nodes []*Node     // workers 0..Workers-1, then the server under PS
+	outs  [][]float64 // per-worker aggregation buffers
+	ident []int32     // shared 0..dim-1 ramp, aliased into every node's scratch
+	errs  []error     // per-node outcome of the current round
+
+	// The current round, published to the node goroutines by the handoff
+	// of node indices on work (buffered to one round's handoffs, so
+	// Exchange never blocks handing out) and joined by round.
+	step  int
+	coll  netsim.Collective
+	ins   []dist.ExchangeInput
+	work  chan int
+	round sync.WaitGroup
+
+	live   sync.WaitGroup // the node goroutines, joined by Close
+	closed bool
 }
 
-// New validates cfg, builds the transport and starts the node
-// goroutines. Callers must Close the engine to stop them.
+// New validates cfg, builds the shared transport and the nodes, and
+// starts one goroutine per node. Callers must Close the engine to stop
+// them.
 //
 //sidco:errclass construction-time config validation, deliberately fatal
 func New(cfg Config) (*Engine, error) {
-	s, err := newSched(cfg)
+	ncfg := NodeConfig{
+		Workers: cfg.Workers, Collective: cfg.Collective, Format: cfg.Format, Chunks: cfg.Chunks,
+		Parallelism: cfg.Parallelism, ComputeSec: cfg.ComputeSec, CompressSec: cfg.CompressSec,
+		StepTimeout: cfg.StepTimeout, Transport: cfg.Transport, Scenario: cfg.Scenario, Telemetry: cfg.Telemetry,
+	}
+	tp, err := newInstrumented(ncfg)
 	if err != nil {
 		return nil, err
 	}
+	nodes := NodeCount(cfg.Workers, cfg.Collective)
 	e := &Engine{
-		cfg:     cfg,
-		sched:   s,
-		jobs:    make([]chan job, cfg.Workers),
-		results: make(chan result, NodeCount(cfg.Workers, cfg.Collective)),
-		outs:    make([][]float64, cfg.Workers),
-		scratch: make([]nodeScratch, cfg.Workers),
+		cfg:   cfg,
+		tp:    tp,
+		nodes: make([]*Node, nodes),
+		outs:  make([][]float64, cfg.Workers),
+		errs:  make([]error, nodes),
+		work:  make(chan int, nodes),
 	}
-	for w := 0; w < cfg.Workers; w++ {
-		e.jobs[w] = make(chan job)
-		e.wg.Add(1)
-		go e.workerLoop(w)
-	}
-	if s.server >= 0 {
-		e.wg.Add(1)
-		go e.serverLoop()
+	for i := range e.nodes {
+		ncfg.Rank = i
+		e.nodes[i] = newNode(ncfg, tp)
+		e.live.Add(1)
+		go e.host()
 	}
 	return e, nil
 }
 
 // Transport exposes the instrumented transport for traffic and
 // virtual-time inspection.
-func (e *Engine) Transport() *Instrumented { return e.sched.tp }
+func (e *Engine) Transport() *Instrumented { return e.tp }
 
 // Close stops the node goroutines and closes the transport. The Engine
 // is not concurrency-safe: Exchange and Close must come from one
@@ -363,16 +305,14 @@ func (e *Engine) Close() error {
 		return nil
 	}
 	e.closed = true
-	err := e.sched.tp.Close()
-	for _, ch := range e.jobs {
-		close(ch)
-	}
-	e.wg.Wait()
+	err := e.tp.Close()
+	close(e.work)
+	e.live.Wait()
 	return err
 }
 
-// Exchange implements dist.GradientExchange: it fans the workers'
-// contributions out to the node goroutines, runs the collective, and
+// Exchange implements dist.GradientExchange: it hands every worker node
+// its contribution, runs all the nodes' rounds of the collective, and
 // copies the agreed mean into agg.
 func (e *Engine) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error {
 	if e.closed {
@@ -386,105 +326,94 @@ func (e *Engine) Exchange(step int, ins []dist.ExchangeInput, agg []float64) err
 		return err
 	}
 	// Dense-as-sparse views all read the same identity index ramp: grown
-	// here, before fan-out, and aliased into every node's scratch, so the
-	// node goroutines never mutate it (localSparse's grow loop is a no-op
-	// once the shared ramp covers the dimension) and the engine pays for
-	// one ramp instead of one per worker.
+	// here, before the handoff, and aliased into every node's scratch, so
+	// the node goroutines never mutate it (localSparse's grow loop is a
+	// no-op once the shared ramp covers the dimension) and the engine
+	// pays for one ramp instead of one per worker.
 	if coll != netsim.CollectiveRing {
 		for _, in := range ins {
 			if in.Sparse == nil {
 				for i := len(e.ident); i < len(agg); i++ {
 					e.ident = append(e.ident, int32(i))
 				}
-				for w := range e.scratch {
-					e.scratch[w].ident = e.ident
+				for _, n := range e.nodes {
+					n.sc.ident = e.ident
 				}
 				break
 			}
 		}
 	}
-	// Tag the round's telemetry message events with the step before any
-	// node goroutine can send: Exchange is a synchronous barrier, so no
-	// message from another step can be in flight here.
-	e.sched.tp.SetStep(int64(step))
-	var deadline time.Time
-	if e.cfg.StepTimeout > 0 {
-		deadline = time.Now().Add(e.cfg.StepTimeout) //sidco:nondet fault-detection deadline, never feeds gradient math
-	}
-	for w, in := range ins {
-		e.jobs[w] <- job{step: step, sparse: in.Sparse, dense: in.Dense, dim: len(agg), coll: coll, deadline: deadline}
-	}
-	want := e.cfg.Workers
-	if e.sched.server >= 0 {
-		want++ // the server also reports
-	}
-	var firstErr error
-	for i := 0; i < want; i++ {
-		r := <-e.results
-		if r.err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("cluster: node %d: %w", r.node, r.err)
-			// Peers may be blocked mid-schedule waiting on the failed
-			// node; closing the transport unblocks them so the round
-			// drains instead of deadlocking.
-			e.sched.tp.Close()
+	for w := range e.outs {
+		if len(e.outs[w]) != len(agg) {
+			e.outs[w] = make([]float64, len(agg))
 		}
 	}
-	if firstErr == nil && e.cfg.Verify {
+	e.step, e.coll, e.ins = step, coll, ins
+	e.round.Add(len(e.nodes))
+	for i := range e.nodes {
+		e.work <- i
+	}
+	e.round.Wait()
+	e.ins = nil
+	err = e.roundErr()
+	if err == nil && e.cfg.Verify {
 		for w := 1; w < e.cfg.Workers; w++ {
 			for i := range e.outs[0] {
 				if e.outs[w][i] != e.outs[0][i] {
-					firstErr = fmt.Errorf("cluster: node %d disagrees with node 0 at element %d: %v vs %v",
+					err = fmt.Errorf("cluster: node %d disagrees with node 0 at element %d: %v vs %v",
 						w, i, e.outs[w][i], e.outs[0][i])
 					break
 				}
 			}
 		}
 	}
-	if firstErr != nil {
+	if err != nil {
 		// Fail-stop: a broken round leaves stray messages in the
 		// transport, so the engine cannot safely run another schedule.
 		e.Close()
-		return firstErr
+		return err
 	}
 	copy(agg, e.outs[0])
 	return nil
 }
 
-// workerLoop is the goroutine body of worker node w.
-func (e *Engine) workerLoop(w int) {
-	defer e.wg.Done()
-	for jb := range e.jobs[w] {
-		if len(e.outs[w]) != jb.dim {
-			e.outs[w] = make([]float64, jb.dim)
+// host is the body of one of the engine's node goroutines: for every
+// node index handed over on work, it runs that node's round of the
+// current exchange — the worker's exchange or the server's serveRound,
+// both tagged with the exchange's own step so the shared transport's
+// step tag and fault clock agree across nodes.
+func (e *Engine) host() {
+	defer e.live.Done()
+	for i := range e.work {
+		if i < e.cfg.Workers {
+			e.errs[i] = e.nodes[i].exchange(e.step, e.coll, e.ins[i], e.outs[i])
+		} else {
+			e.errs[i] = e.nodes[i].serveRound(int64(e.step))
 		}
-		e.results <- result{node: w, err: e.sched.runWorker(w, jb, &e.scratch[w], e.outs[w])}
+		e.round.Done()
 	}
 }
 
-// serverLoop is the goroutine body of the parameter-server node: one
-// round per exchange. The server learns each round's start from the
-// first arriving push, so it needs no job channel.
-func (e *Engine) serverLoop() {
-	defer e.wg.Done()
-	var srv psServer
-	for round := int64(0); ; round++ {
-		span := e.sched.tel.Begin(telemetry.SpanCollective, e.sched.server, -1, -1, round)
-		// The server receives without a deadline: it idles here between
-		// exchanges, so a round-start deadline would misfire. A worker
-		// timing out under StepTimeout closes the transport, which
-		// unblocks this receive with ErrClosed.
-		err := srv.round(e.sched.tp, e.sched.tp.Recv, e.sched.server, e.sched.full, e.sched.format)
-		span.End()
-		if err != nil {
-			// A server failure is fatal to the cluster: close the
-			// transport so workers blocked on their pull unblock with an
-			// error instead of hanging, then report and exit. (On a
-			// normal engine Close the transport is already closed and
-			// this is a no-op.)
-			e.sched.tp.Close()
-			e.results <- result{node: e.sched.server, err: err}
-			return
+// roundErr reports a failed round by its root cause. A failing node
+// closes the shared transport to unblock its peers, which then fail with
+// ErrClosed; so the first error in node order that does not wrap
+// ErrClosed is the cause, falling back to the first error of all.
+func (e *Engine) roundErr() error {
+	first := -1
+	for i, err := range e.errs {
+		if err == nil {
+			continue
 		}
-		e.results <- result{node: e.sched.server}
+		if !errors.Is(err, ErrClosed) {
+			first = i
+			break
+		}
+		if first < 0 {
+			first = i
+		}
 	}
+	if first < 0 {
+		return nil
+	}
+	return fmt.Errorf("cluster: node %d: %w", first, e.errs[first])
 }

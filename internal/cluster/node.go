@@ -15,32 +15,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// sched executes the collective schedules from one node's perspective:
-// the shared runner behind Engine (which hosts all N nodes in one
-// process) and Node (one node per process). Its fields are immutable
-// after construction, so Engine's node goroutines share one value.
-type sched struct {
-	workers     int
-	full        []int // identityMembers(workers): the full-membership list
-	server      int   // server node id under PS, else -1
-	format      encoding.Format
-	chunks      int
-	parallel    int // decode fan-out per chunk round (<=1: sequential)
-	computeSec  float64
-	compressSec float64
-	tp          *Instrumented
-	tel         *telemetry.Tracer
-}
-
-// jobMembers resolves a job's worker member list (nil: full
-// membership).
-func (s *sched) jobMembers(jb job) []int {
-	if jb.members != nil {
-		return jb.members
-	}
-	return s.full
-}
-
 // nodeScratch is one node's reusable pipeline storage: encode buffers
 // (one per chunk — a chunk's buffer stays pinned while it circulates the
 // ring, so chunks cannot share), the all-gather result slots, the decode
@@ -58,76 +32,62 @@ type nodeScratch struct {
 	ident  []int32         // 0..dim-1 ramp for dense-as-sparse views
 }
 
-// chunkCount resolves the configured chunking (0 or 1: monolithic).
-func (s *sched) chunkCount() int {
-	if s.chunks > 1 {
-		return s.chunks
+// runWorker executes this worker's half of one exchange under the
+// resolved collective coll, leaving the aggregated mean in out (whose
+// length is the gradient dimension).
+func (n *Node) runWorker(step int, coll netsim.Collective, in dist.ExchangeInput, out []float64) error {
+	w := n.cfg.Rank
+	if n.cfg.ComputeSec > 0 {
+		n.tp.Compute(w, n.cfg.ComputeSec)
 	}
-	return 1
-}
-
-// runWorker executes worker node w's half of one exchange, leaving the
-// aggregated mean in out (which must have jb.dim elements). The whole
-// round is traced as one collective span per node.
-func (s *sched) runWorker(w int, jb job, sc *nodeScratch, out []float64) error {
-	span := s.tel.Begin(telemetry.SpanCollective, w, -1, -1, int64(jb.step))
-	err := s.runCollective(w, jb, sc, out)
-	span.End()
-	return err
-}
-
-func (s *sched) runCollective(w int, jb job, sc *nodeScratch, out []float64) error {
-	if s.computeSec > 0 {
-		s.tp.Compute(w, s.computeSec)
-	}
-	members := s.jobMembers(jb)
-	recv := interceptRecv(s.tp, jb.deadline)
-	switch jb.coll {
+	recv := interceptRecv(n.tp, n.stepDeadline())
+	switch coll {
 	case netsim.CollectiveRing:
 		// Dense in-ring reduction: start from the local dense gradient
 		// (densifying the sparse selection if the caller forced ring).
-		if jb.sparse != nil {
+		if in.Sparse != nil {
 			tensor.Zero(out)
-			jb.sparse.AddTo(out)
+			in.Sparse.AddTo(out)
 		} else {
-			if len(jb.dense) != jb.dim {
-				return fmt.Errorf("dense gradient has %d elements, want %d", len(jb.dense), jb.dim) //sidco:errclass geometry violation means a buggy caller, deliberately fatal
+			if len(in.Dense) != len(out) {
+				return fmt.Errorf("dense gradient has %d elements, want %d", len(in.Dense), len(out)) //sidco:errclass geometry violation means a buggy caller, deliberately fatal
 			}
-			copy(out, jb.dense)
+			copy(out, in.Dense)
 		}
-		if err := ringAllReduceGroup(s.tp, recv, members, w, out); err != nil {
+		if err := ringAllReduceGroup(n.tp, recv, n.workers, w, out); err != nil {
 			return err
 		}
-		tensor.Scale(1/float64(len(members)), out)
+		tensor.Scale(1/float64(len(n.workers)), out)
 		return nil
 
 	case netsim.CollectiveAllGather:
-		return s.runAllGather(w, jb, sc, out)
+		return n.runAllGather(step, in, recv, out)
 
 	case netsim.CollectivePS:
-		sp, err := s.localSparse(jb, sc)
+		sc := &n.sc
+		sp, err := n.localSparse(in, len(out))
 		if err != nil {
 			return err
 		}
 		sc.enc = growSlots(sc.enc, 1)
-		es := s.tel.Begin(telemetry.SpanEncode, w, -1, -1, int64(jb.step)).WithValue(int64(s.format))
-		sc.enc[0], err = encoding.EncodeTo(sc.enc[0][:0], sp, s.format)
+		es := n.cfg.Telemetry.Begin(telemetry.SpanEncode, w, -1, -1, int64(step)).WithValue(int64(n.format))
+		sc.enc[0], err = encoding.EncodeTo(sc.enc[0][:0], sp, n.format)
 		es.End()
 		if err != nil {
 			return err
 		}
-		if err := s.tp.Send(w, s.server, sc.enc[0]); err != nil {
+		if err := n.tp.Send(w, n.cfg.Workers, sc.enc[0]); err != nil {
 			return err
 		}
-		reply, err := recv(w, s.server)
+		reply, err := recv(w, n.cfg.Workers)
 		if err != nil {
 			return err
 		}
 		if err := encoding.DecodeInto(&sc.dec, reply); err != nil {
 			return fmt.Errorf("decoding server reply: %w", err)
 		}
-		if sc.dec.Dim != jb.dim {
-			return fmt.Errorf("server reply has dim %d, want %d", sc.dec.Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
+		if sc.dec.Dim != len(out) {
+			return fmt.Errorf("server reply has dim %d, want %d", sc.dec.Dim, len(out)) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
 		}
 		tensor.Zero(out)
 		sc.dec.AddTo(out)
@@ -154,18 +114,17 @@ func (s *sched) runCollective(w int, jb job, sc *nodeScratch, out []float64) err
 // empty, so they ship header-only payloads and contribute nothing to the
 // sum — the schedule still runs C full all-gathers, which is what the
 // traffic formulas (netsim.ChunkedAllGatherMessages) count.
-func (s *sched) runAllGather(w int, jb job, sc *nodeScratch, out []float64) error {
-	members := s.jobMembers(jb)
-	recv := interceptRecv(s.tp, jb.deadline)
-	n := len(members)
-	C := s.chunkCount()
-	sp, err := s.localSparse(jb, sc)
+func (n *Node) runAllGather(step int, in dist.ExchangeInput, recv linkRecv, out []float64) error {
+	w, sc, members, dim := n.cfg.Rank, &n.sc, n.workers, len(out)
+	origins := len(members)
+	C := max(n.cfg.Chunks, 1)
+	sp, err := n.localSparse(in, dim)
 	if err != nil {
 		return err
 	}
 	perChunkCompress := 0.0
-	if s.compressSec > 0 {
-		perChunkCompress = s.compressSec / float64(C)
+	if n.cfg.CompressSec > 0 {
+		perChunkCompress = n.cfg.CompressSec / float64(C)
 	}
 	sc.enc = growSlots(sc.enc, C)
 	if cap(sc.ready) < C {
@@ -184,18 +143,18 @@ func (s *sched) runAllGather(w int, jb job, sc *nodeScratch, out []float64) erro
 		for ; encoded <= c; encoded++ {
 			sc.ready[encoded] = 0
 			if perChunkCompress > 0 {
-				sc.ready[encoded] = s.tp.ComputeOverlap(w, perChunkCompress)
+				sc.ready[encoded] = n.tp.ComputeOverlap(w, perChunkCompress)
 			}
-			_, hi := chunkBounds(jb.dim, C, encoded)
+			_, hi := chunkBounds(dim, C, encoded)
 			end := pos
 			for end < len(sp.Idx) && int(sp.Idx[end]) < hi {
 				end++
 			}
-			sc.view = tensor.Sparse{Dim: jb.dim, Idx: sp.Idx[pos:end], Vals: sp.Vals[pos:end]}
+			sc.view = tensor.Sparse{Dim: dim, Idx: sp.Idx[pos:end], Vals: sp.Vals[pos:end]}
 			pos = end
 			var err error
-			es := s.tel.Begin(telemetry.SpanEncode, w, -1, encoded, int64(jb.step)).WithValue(int64(s.format))
-			sc.enc[encoded], err = encoding.EncodeTo(sc.enc[encoded][:0], &sc.view, s.format)
+			es := n.cfg.Telemetry.Begin(telemetry.SpanEncode, w, -1, encoded, int64(step)).WithValue(int64(n.format))
+			sc.enc[encoded], err = encoding.EncodeTo(sc.enc[encoded][:0], &sc.view, n.format)
 			es.End()
 			if err != nil {
 				return err
@@ -211,77 +170,72 @@ func (s *sched) runAllGather(w int, jb job, sc *nodeScratch, out []float64) erro
 		}
 		// The chunk's own payload cannot leave before its compression
 		// finishes; everything the node merely forwards is not gated.
-		s.tp.WaitFor(w, sc.ready[c])
+		n.tp.WaitFor(w, sc.ready[c])
 		overlap := func() error {
 			if c+1 < C {
 				return encodeUpTo(c + 1)
 			}
 			return nil
 		}
-		sc.gather, err = allGatherGroup(s.tp, recv, members, w, sc.enc[c], sc.gather, overlap)
+		sc.gather, err = allGatherGroup(n.tp, recv, members, w, sc.enc[c], sc.gather, overlap)
 		if err != nil {
 			return err
 		}
 		// Decode and reduce in worker-index order: with a lossless format
 		// this is the exact operation sequence of dist.InProcess. With
-		// parallel > 1 the per-origin decodes fan out into per-origin
+		// Parallelism > 1 the per-origin decodes fan out into per-origin
 		// scratch, but the floating-point reduction below still runs
 		// serially in worker-index order, so the aggregate stays
 		// bit-identical to the sequential schedule.
-		if p := s.parallel; p > 1 && n > 1 {
-			if p > n {
-				p = n
-			}
-			for len(sc.decs) < n {
+		p := min(n.cfg.Parallelism, origins)
+		if p > 1 {
+			for len(sc.decs) < origins {
 				sc.decs = append(sc.decs, tensor.Sparse{})
 				sc.decErr = append(sc.decErr, nil)
 			}
 			par.Do(p, func(worker int) {
-				lo, hi := par.RangeBounds(n, p, worker)
+				lo, hi := par.RangeBounds(origins, p, worker)
 				for origin := lo; origin < hi; origin++ {
 					sc.decErr[origin] = encoding.DecodeInto(&sc.decs[origin], sc.gather[origin])
 				}
 			})
-			for origin := 0; origin < n; origin++ {
-				if err := sc.decErr[origin]; err != nil {
-					return fmt.Errorf("decoding origin %d chunk %d: %w", members[origin], c, err)
-				}
-				if sc.decs[origin].Dim != jb.dim {
-					return fmt.Errorf("origin %d has dim %d, want %d", members[origin], sc.decs[origin].Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
-				}
-				sc.decs[origin].AddTo(out)
+		}
+		for origin := 0; origin < origins; origin++ {
+			dec := &sc.dec
+			if p > 1 {
+				dec, err = &sc.decs[origin], sc.decErr[origin]
+			} else {
+				err = encoding.DecodeInto(dec, sc.gather[origin])
 			}
-		} else {
-			for origin := 0; origin < n; origin++ {
-				if err := encoding.DecodeInto(&sc.dec, sc.gather[origin]); err != nil {
-					return fmt.Errorf("decoding origin %d chunk %d: %w", members[origin], c, err)
-				}
-				if sc.dec.Dim != jb.dim {
-					return fmt.Errorf("origin %d has dim %d, want %d", members[origin], sc.dec.Dim, jb.dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
-				}
-				sc.dec.AddTo(out)
+			if err != nil {
+				return fmt.Errorf("decoding origin %d chunk %d: %w", members[origin], c, err)
 			}
+			if dec.Dim != dim {
+				return fmt.Errorf("origin %d has dim %d, want %d", members[origin], dec.Dim, dim) //sidco:errclass geometry violation means a buggy peer, deliberately fatal
+			}
+			dec.AddTo(out)
 		}
 	}
-	tensor.Scale(1/float64(n), out)
+	tensor.Scale(1/float64(origins), out)
 	return nil
 }
 
-// localSparse resolves a worker's contribution to a sparse vector
-// without copying: compressed gradients are used as-is, dense gradients
-// get a full-support view over the scratch's index ramp, so even the
-// no-compression baseline moves real encoded bytes.
-func (s *sched) localSparse(jb job, sc *nodeScratch) (*tensor.Sparse, error) {
-	if jb.sparse != nil {
-		return jb.sparse, nil
+// localSparse resolves a worker's contribution to a sparse vector of
+// dimension dim without copying: compressed gradients are used as-is,
+// dense gradients get a full-support view over the scratch's index ramp,
+// so even the no-compression baseline moves real encoded bytes.
+func (n *Node) localSparse(in dist.ExchangeInput, dim int) (*tensor.Sparse, error) {
+	if in.Sparse != nil {
+		return in.Sparse, nil
 	}
-	if len(jb.dense) != jb.dim {
-		return nil, fmt.Errorf("dense gradient has %d elements, want %d", len(jb.dense), jb.dim) //sidco:errclass geometry violation means a buggy caller, deliberately fatal
+	if len(in.Dense) != dim {
+		return nil, fmt.Errorf("dense gradient has %d elements, want %d", len(in.Dense), dim) //sidco:errclass geometry violation means a buggy caller, deliberately fatal
 	}
-	for i := len(sc.ident); i < jb.dim; i++ {
+	sc := &n.sc
+	for i := len(sc.ident); i < dim; i++ {
 		sc.ident = append(sc.ident, int32(i))
 	}
-	sc.full = tensor.Sparse{Dim: jb.dim, Idx: sc.ident[:jb.dim], Vals: jb.dense}
+	sc.full = tensor.Sparse{Dim: dim, Idx: sc.ident[:dim], Vals: in.Dense}
 	return &sc.full, nil
 }
 
@@ -294,8 +248,8 @@ func growSlots(bufs [][]byte, n int) [][]byte {
 }
 
 // psServer is the parameter-server node's reusable aggregation state:
-// one value lives for the life of the serving loop, whether that loop is
-// Engine's server goroutine or a dedicated server process (Node.Serve).
+// one value lives in the server Node for its whole life, whether an
+// Engine or Node.Serve drives its rounds.
 type psServer struct {
 	acc  []float64
 	dim  int
@@ -401,9 +355,11 @@ type NodeConfig struct {
 	// over the deployment's shared host list. It must span
 	// NodeCount(Workers, Collective) nodes.
 	//
-	// The node reuses its encode buffers across exchanges, and unlike
-	// Engine it has no built-in per-round barrier. A TCPTransport copies
-	// every payload through the socket, so reuse is always safe there.
+	// The node reuses its encode buffers across exchanges and has no
+	// per-round barrier of its own (an Engine supplies one: its Exchange
+	// joins every hosted node's round before returning). A TCPTransport
+	// copies every payload through the socket, so reuse is always safe
+	// there.
 	// Nodes sharing a by-reference transport (ChanTransport) must end
 	// every round with a collective barrier before the next Exchange —
 	// MeanScalar after each step, as cmd/sidco-node does, is one — or a
@@ -422,13 +378,15 @@ type NodeConfig struct {
 	Telemetry *telemetry.Tracer
 }
 
-// Node is one cluster node in a process of its own: the per-process
-// counterpart of Engine. A worker Node (Rank < Workers) satisfies
-// dist.GradientExchange for a single local worker — plug it into a
-// Workers=1 dist.Trainer whose FirstWorker is this rank and the process
-// trains global worker Rank, exchanging real bytes with its peers. The
-// server Node of a parameter-server deployment (Rank == Workers) runs
-// Serve instead.
+// Node is one cluster node: a worker (Rank < Workers) or, under
+// CollectivePS, the parameter server (Rank == Workers). It runs the
+// collective schedules from its own perspective, and it is the only
+// runner: a per-process deployment (cmd/sidco-node) holds one Node, and
+// an Engine hosts all N of them over one shared transport. A worker Node
+// satisfies dist.GradientExchange for a single local worker — plug it
+// into a Workers=1 dist.Trainer whose FirstWorker is this rank and the
+// process trains global worker Rank, exchanging real bytes with its
+// peers. The server Node runs Serve instead.
 //
 // Exchange leaves the global mean over all Workers contributions in agg,
 // so the local optimizer applies exactly the update every peer applies:
@@ -437,20 +395,22 @@ type NodeConfig struct {
 // trainer bit-for-bit.
 type Node struct {
 	cfg    NodeConfig
-	sched  sched
+	tp     *Instrumented // shared by every Node an Engine hosts
+	format encoding.Format
 	sc     nodeScratch
-	raw    Transport
-	out    []float64
+	srv    psServer // the server rank's aggregation state
 	scalar [8]byte
 	sgath  [][]byte
 	closed bool
 
 	// Elastic-membership state: the agreed participant list (worker node
-	// ids plus the server id under PS), the renegotiation epoch, and the
-	// stash of membership frames consumed out-of-band.
-	group []int
-	epoch uint32
-	ng    negotiator
+	// ids plus the server id under PS), its worker subset (cached so a
+	// round reads it without allocating), the renegotiation epoch, and
+	// the stash of membership frames consumed out-of-band.
+	group   []int
+	workers []int
+	epoch   uint32
+	ng      negotiator
 }
 
 // NewNode validates cfg and binds the node to its transport.
@@ -460,15 +420,53 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("cluster: Node requires a Transport (use Engine for the in-process default)")
 	}
-	s, err := newSched(Config{
-		Workers: cfg.Workers, Collective: cfg.Collective, Format: cfg.Format, Transport: cfg.Transport,
-		Scenario: cfg.Scenario, ComputeSec: cfg.ComputeSec, Chunks: cfg.Chunks, CompressSec: cfg.CompressSec,
-		Parallelism: cfg.Parallelism, StepTimeout: cfg.StepTimeout, Telemetry: cfg.Telemetry,
-	})
+	tp, err := newInstrumented(cfg)
 	if err != nil {
 		return nil, err
 	}
+	return newNode(cfg, tp), nil
+}
+
+// newInstrumented validates a node configuration — Workers, Collective,
+// Format, Chunks, CompressSec, StepTimeout, MaxStepRetries, Rank and the
+// transport size — and builds the instrumented transport over
+// cfg.Transport (an in-process ChanTransport when nil), with cfg.Scenario
+// and cfg.Telemetry attached. New calls it once for all the nodes it
+// hosts, NewNode once for its own.
+//
+//sidco:errclass construction-time config validation, deliberately fatal
+func newInstrumented(cfg NodeConfig) (*Instrumented, error) {
+	if cfg.Workers < 1 {
+		return nil, fmt.Errorf("cluster: Workers = %d, need >= 1", cfg.Workers)
+	}
+	switch cfg.Collective {
+	case netsim.CollectiveAuto, netsim.CollectiveRing, netsim.CollectiveAllGather, netsim.CollectivePS:
+	default:
+		return nil, fmt.Errorf("cluster: unknown collective %v", cfg.Collective)
+	}
+	if _, err := cfg.Format.Format(); err != nil {
+		return nil, err
+	}
+	if err := validateChunks(cfg.Chunks, cfg.Collective); err != nil {
+		return nil, err
+	}
+	if cfg.CompressSec < 0 {
+		return nil, fmt.Errorf("cluster: CompressSec = %v, need >= 0", cfg.CompressSec)
+	}
+	if cfg.StepTimeout < 0 {
+		return nil, fmt.Errorf("cluster: StepTimeout = %v, need >= 0", cfg.StepTimeout)
+	}
 	nodes := NodeCount(cfg.Workers, cfg.Collective)
+	inner := cfg.Transport
+	if inner == nil {
+		var err error
+		if inner, err = NewChanTransport(nodes); err != nil {
+			return nil, err
+		}
+	}
+	if inner.Nodes() < nodes {
+		return nil, fmt.Errorf("cluster: transport has %d nodes, need %d", inner.Nodes(), nodes)
+	}
 	if cfg.MaxStepRetries < 0 {
 		return nil, fmt.Errorf("cluster: MaxStepRetries = %d, need >= 0", cfg.MaxStepRetries)
 	}
@@ -484,14 +482,22 @@ func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Rank == cfg.Workers && cfg.Collective != netsim.CollectivePS {
 		return nil, fmt.Errorf("cluster: Rank = %d is the server slot, which only CollectivePS has", cfg.Rank)
 	}
-	return &Node{cfg: cfg, raw: cfg.Transport, group: identityMembers(nodes), sched: s}, nil
+	return NewInstrumented(inner, cfg.Scenario).WithTelemetry(cfg.Telemetry), nil
+}
+
+// newNode binds a configuration newInstrumented accepted to tp.
+func newNode(cfg NodeConfig, tp *Instrumented) *Node {
+	format, _ := cfg.Format.Format() // validated by newInstrumented
+	n := &Node{cfg: cfg, tp: tp, format: format}
+	n.setGroup(identityMembers(NodeCount(cfg.Workers, cfg.Collective)))
+	return n
 }
 
 // Transport exposes the node's instrumented transport: its counters see
 // this process's gradient traffic (sends from and receives at this
 // rank), which is what a per-node traffic cross-check compares against
 // the per-node share of netsim's collective formulas.
-func (n *Node) Transport() *Instrumented { return n.sched.tp }
+func (n *Node) Transport() *Instrumented { return n.tp }
 
 // Exchange implements dist.GradientExchange for the single local worker:
 // ins must hold exactly one input — this rank's contribution — and agg
@@ -516,43 +522,51 @@ func (n *Node) Exchange(step int, ins []dist.ExchangeInput, agg []float64) error
 	if err != nil {
 		return err
 	}
+	if err := n.exchange(step, coll, ins[0], agg); err != nil {
+		return fmt.Errorf("cluster: node %d: %w", n.cfg.Rank, err)
+	}
+	return nil
+}
+
+// exchange runs this worker's round of step under the resolved
+// collective coll, leaving the mean in out. A recoverable failure
+// renegotiates membership and retries, up to MaxStepRetries times; any
+// other failure is fail-stop — a broken round leaves stray messages on
+// the links, so the node closes its transport (unblocking every peer
+// sharing it) and cannot run another schedule.
+func (n *Node) exchange(step int, coll netsim.Collective, in dist.ExchangeInput, out []float64) error {
 	for attempt := 0; ; attempt++ {
-		jb := job{
-			step: step, sparse: ins[0].Sparse, dense: ins[0].Dense, dim: len(agg), coll: coll,
-			members: n.workerMembers(), deadline: n.stepDeadline(),
-		}
-		n.sched.tp.SetStep(int64(step))
-		err := n.sched.runWorker(n.cfg.Rank, jb, &n.sc, agg)
+		n.tp.SetStep(int64(step))
+		span := n.cfg.Telemetry.Begin(telemetry.SpanCollective, n.cfg.Rank, -1, -1, int64(step))
+		err := n.runWorker(step, coll, in, out)
+		span.End()
 		if err == nil {
 			return nil
 		}
 		if !Recoverable(err) || attempt >= n.cfg.MaxStepRetries {
-			// Fail-stop, like Engine: a broken round leaves stray messages
-			// on the links, so this node cannot safely run another
-			// schedule.
 			n.Close()
-			return fmt.Errorf("cluster: node %d: %w", n.cfg.Rank, err)
+			return err
 		}
 		if rerr := n.recover(err); rerr != nil {
 			n.Close()
-			return fmt.Errorf("cluster: node %d: step %d recovery after %v: %w", n.cfg.Rank, step, err, rerr)
+			return fmt.Errorf("step %d recovery after %v: %w", step, err, rerr)
 		}
 	}
 }
 
-// workerMembers returns the current worker participants: the agreed
-// group minus the server node (if any), ascending.
-func (n *Node) workerMembers() []int {
-	if n.sched.server < 0 {
-		return n.group
+// setGroup installs an agreed participant list and caches its worker
+// subset: the group minus the server node (if any), ascending.
+func (n *Node) setGroup(group []int) {
+	n.group, n.workers = group, group
+	if n.cfg.Collective != netsim.CollectivePS {
+		return
 	}
-	ws := make([]int, 0, len(n.group))
-	for _, id := range n.group {
+	n.workers = make([]int, 0, len(group))
+	for _, id := range group {
 		if id < n.cfg.Workers {
-			ws = append(ws, id)
+			n.workers = append(n.workers, id)
 		}
 	}
-	return ws
 }
 
 // stepDeadline computes the receive deadline of one schedule run.
@@ -578,17 +592,17 @@ func (n *Node) recover(cause error) error {
 	}
 	timeout := 2 * n.cfg.StepTimeout
 	dbg("node %d: recovering (epoch %d) after: %v", n.cfg.Rank, n.epoch+1, cause)
-	view, err := n.ng.renegotiate(n.raw, n.cfg.Rank, n.group, n.epoch+1, timeout)
+	view, err := n.ng.renegotiate(n.tp.inner, n.cfg.Rank, n.group, n.epoch+1, timeout)
 	if err != nil {
 		return err
 	}
 	dbg("node %d: epoch %d agreed members %v", n.cfg.Rank, n.epoch+1, view)
 	n.epoch++
-	n.group = view
-	if n.sched.server >= 0 && memberPos(view, n.sched.server) < 0 {
+	n.setGroup(view)
+	if n.cfg.Collective == netsim.CollectivePS && memberPos(view, n.cfg.Workers) < 0 {
 		return fmt.Errorf("cluster: parameter server lost — a PS deployment cannot recover without its server") //sidco:errclass lost server is unrecoverable under PS, deliberately fatal
 	}
-	if len(n.workerMembers()) < 1 {
+	if len(n.workers) < 1 {
 		return fmt.Errorf("cluster: no workers left in the renegotiated group %v", view) //sidco:errclass empty worker set is unrecoverable, deliberately fatal
 	}
 	return nil
@@ -609,12 +623,12 @@ func (n *Node) MeanScalar(x float64) (float64, error) {
 	}
 	binary.LittleEndian.PutUint64(n.scalar[:], math.Float64bits(x))
 	for attempt := 0; ; attempt++ {
-		members := n.workerMembers()
+		members := n.workers
 		if len(members) == 1 {
 			return x, nil
 		}
-		recv := interceptRecv(n.raw, n.stepDeadline())
-		sgath, err := allGatherGroup(n.raw, recv, members, n.cfg.Rank, n.scalar[:], n.sgath, nil)
+		recv := interceptRecv(n.tp.inner, n.stepDeadline())
+		sgath, err := allGatherGroup(n.tp.inner, recv, members, n.cfg.Rank, n.scalar[:], n.sgath, nil)
 		if err == nil {
 			n.sgath = sgath
 			sum := 0.0
@@ -650,34 +664,45 @@ func (n *Node) Serve(rounds int) error {
 	if n.cfg.Rank != n.cfg.Workers || n.cfg.Collective != netsim.CollectivePS {
 		return fmt.Errorf("cluster: Serve on rank %d, want the server rank %d under PS", n.cfg.Rank, n.cfg.Workers) //sidco:errclass caller misuse, deliberately fatal
 	}
-	var srv psServer
 	for served := 0; rounds <= 0 || served < rounds; served++ {
-		n.sched.tp.SetStep(int64(served))
-		for attempt := 0; ; attempt++ {
-			span := n.sched.tel.Begin(telemetry.SpanCollective, n.cfg.Rank, -1, -1, int64(served))
-			recv := interceptRecv(n.sched.tp, n.stepDeadline())
-			err := srv.round(n.sched.tp, recv, n.sched.server, n.workerMembers(), n.sched.format)
-			span.End()
-			if err == nil {
-				break
-			}
+		if err := n.serveRound(int64(served)); err != nil {
 			if errors.Is(err, ErrClosed) {
-				n.closed = true
 				return nil
 			}
-			if !Recoverable(err) || attempt >= n.cfg.MaxStepRetries {
-				n.closed = true
-				n.sched.tp.Close()
-				return fmt.Errorf("cluster: server: %w", err)
-			}
-			if rerr := n.recover(err); rerr != nil {
-				n.closed = true
-				n.sched.tp.Close()
-				return fmt.Errorf("cluster: server: round %d recovery after %v: %w", served, err, rerr)
-			}
+			return fmt.Errorf("cluster: server: %w", err)
 		}
 	}
 	return nil
+}
+
+// serveRound serves the parameter-server round of step: receive every
+// surviving worker's push, combine, and broadcast the mean. Failures are
+// handled as in exchange — a recoverable one renegotiates and retries,
+// any other closes the transport — except that a closed transport (the
+// shutdown signal) only marks the node closed.
+func (n *Node) serveRound(step int64) error {
+	n.tp.SetStep(step)
+	for attempt := 0; ; attempt++ {
+		span := n.cfg.Telemetry.Begin(telemetry.SpanCollective, n.cfg.Rank, -1, -1, step)
+		recv := interceptRecv(n.tp, n.stepDeadline())
+		err := n.srv.round(n.tp, recv, n.cfg.Rank, n.workers, n.format)
+		span.End()
+		if err == nil {
+			return nil
+		}
+		if errors.Is(err, ErrClosed) {
+			n.closed = true
+			return err
+		}
+		if !Recoverable(err) || attempt >= n.cfg.MaxStepRetries {
+			n.Close()
+			return err
+		}
+		if rerr := n.recover(err); rerr != nil {
+			n.Close()
+			return fmt.Errorf("round %d recovery after %v: %w", step, err, rerr)
+		}
+	}
 }
 
 // Close marks the node closed and closes its transport. Safe to call
@@ -687,5 +712,5 @@ func (n *Node) Close() error {
 		return nil
 	}
 	n.closed = true
-	return n.sched.tp.Close()
+	return n.tp.Close()
 }

@@ -1,8 +1,8 @@
 // Package cluster is the message-passing collective-communication layer
 // of the reproduction: where internal/netsim prices gradient exchanges
-// analytically, this package executes them — goroutine-per-node workers
-// serialise compressed gradients with internal/encoding and move real
-// byte buffers through a pluggable Transport.
+// analytically, this package executes them — cluster nodes serialise
+// compressed gradients with internal/encoding and move real byte buffers
+// through a pluggable Transport.
 //
 // Three collectives are implemented as explicit message schedules over
 // any Transport: ring all-reduce for dense gradients (2(N-1) messages
@@ -21,14 +21,16 @@
 // one node per OS process (cmd/sidco-node), each holding a TCPTransport
 // over a shared host list.
 //
-// The Engine ties the schedules to training: it satisfies
-// dist.GradientExchange, so a dist.Trainer can swap its in-process
-// reducer for a real exchange. Over the lossless FormatPairs64 wire
-// format the all-gather and parameter-server collectives sum decoded
-// contributions in worker-index order, reproducing the in-process
-// trainer's losses bit-for-bit. Node is the per-process counterpart:
-// one cluster node plus a Workers=1 Trainer per process reproduces the
-// same losses over TCP.
+// Node is the one runner of the schedules: it executes one node's share
+// of every collective and satisfies dist.GradientExchange, so a
+// dist.Trainer can swap its in-process reducer for a real exchange. A
+// multi-process deployment pairs one Node with a Workers=1 Trainer per
+// process; the Engine hosts all N Nodes of a deployment in one process,
+// one goroutine each over one shared transport, behind a single
+// N-worker Exchange. Over the lossless FormatPairs64 wire format the
+// all-gather and parameter-server collectives sum decoded contributions
+// in worker-index order, reproducing the in-process trainer's losses
+// bit-for-bit in either deployment.
 //
 // The package also survives dead peers. Errors classify into a
 // recoverable class (ErrPeerLost, ErrTimeout — see Recoverable) and the

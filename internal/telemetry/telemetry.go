@@ -47,8 +47,8 @@ const (
 	// SpanApply is the optimizer update (StepFlat).
 	SpanApply
 	// SpanCollective is one node's share of one collective round
-	// (cluster's sched: ring / all-gather / parameter-server), or one
-	// served round on the PS node.
+	// (cluster.Node's ring / all-gather / parameter-server schedule), or
+	// one served round on the PS node.
 	SpanCollective
 	// SpanDial is a TCP link's connection establishment, retries
 	// included.
