@@ -8,7 +8,8 @@
 //  1. Bit-identity: a data-parallel training run whose gradient exchange
 //     goes through the cluster engine (all-gather and parameter-server
 //     collectives over the lossless wire format) must reproduce the
-//     in-process trainer's per-iteration losses exactly.
+//     in-process trainer's per-iteration losses exactly (the section
+//     fails otherwise).
 //  2. Measured vs predicted: per-step message and byte counts from the
 //     instrumented transport against netsim's collective step formulas
 //     and encoding's size accounting, plus virtual time against the
@@ -24,7 +25,8 @@
 //  6. Loopback study: the same training run over in-process channels,
 //     loopback TCP sockets (engine) and the per-rank node topology of
 //     cmd/sidco-node — four bit-identical loss columns plus an exact
-//     traffic cross-check over real sockets.
+//     traffic cross-check over real sockets (the section fails unless
+//     both hold).
 //
 // Usage:
 //
@@ -46,7 +48,6 @@ import (
 	"repro/internal/encoding"
 	"repro/internal/harness"
 	"repro/internal/netsim"
-	"repro/internal/nn"
 )
 
 func main() {
@@ -94,48 +95,21 @@ func main() {
 	})
 }
 
-// demoTrainer builds a small dense net on synthetic class-shifted data.
-func demoTrainer(workers int, comp string, delta float64, seed int64, ex dist.GradientExchange) (*dist.Trainer, error) {
-	rng := rand.New(rand.NewSource(seed))
-	model := nn.NewSequential(
-		nn.NewDense("d1", 16, 12, rng),
-		&nn.ReLU{},
-		nn.NewDense("d2", 12, 4, rng),
-	)
-	var factory func() compress.Compressor
-	if comp != "" && comp != "none" {
-		factory = harness.Factory(comp, seed)
-	}
-	return dist.NewTrainer(dist.TrainerConfig{
-		Workers: workers,
-		Model:   model,
-		Loss:    &nn.SoftmaxCrossEntropy{},
-		Opt:     &nn.SGD{LR: 0.05},
-		Batch: func(worker int, rng *rand.Rand) (*nn.Tensor, []int) {
-			x := nn.NewTensor(8, 16)
-			targets := make([]int, 8)
-			for i := range targets {
-				targets[i] = rng.Intn(4)
-				for j := 0; j < 16; j++ {
-					x.Data[i*16+j] = rng.NormFloat64() + float64(targets[i])
-				}
-			}
-			return x, targets
-		},
-		NewCompressor: factory,
-		Delta:         delta,
-		EC:            factory != nil,
-		Seed:          seed,
-		Exchange:      ex,
-	})
-}
-
+// bitIdentity trains harness.DemoTrainerConfig in-process and through
+// the cluster engine under the all-gather and parameter-server
+// collectives, and fails unless every loss matches bit-for-bit.
 func bitIdentity(workers, iters int, comp string, delta float64, seed int64) error {
-	ref, err := demoTrainer(workers, comp, delta, seed, nil)
-	if err != nil {
-		return err
+	run := func(ex dist.GradientExchange) ([]float64, error) {
+		cfg := harness.DemoTrainerConfig(comp, delta, seed)
+		cfg.Workers, cfg.Exchange = workers, ex
+		tr, err := dist.NewTrainer(cfg)
+		if err != nil {
+			return nil, err
+		}
+		l, _, err := tr.Run(iters)
+		return l, err
 	}
-	refLoss, _, err := ref.Run(iters)
+	refLoss, err := run(nil)
 	if err != nil {
 		return err
 	}
@@ -144,30 +118,29 @@ func bitIdentity(workers, iters int, comp string, delta float64, seed int64) err
 		"iter", "in-process", "allgather", "ps", "max |diff|")
 	losses := map[netsim.Collective][]float64{}
 	for _, coll := range []netsim.Collective{netsim.CollectiveAllGather, netsim.CollectivePS} {
-		e, err := cluster.New(cluster.Config{Workers: workers, Collective: coll, Verify: true})
+		e, err := cluster.New(cluster.NodeConfig{Workers: workers, Collective: coll, Verify: true})
 		if err != nil {
 			return err
 		}
-		tr, err := demoTrainer(workers, comp, delta, seed, e)
-		if err != nil {
-			e.Close()
-			return err
-		}
-		l, _, err := tr.Run(iters)
+		losses[coll], err = run(e)
 		e.Close()
 		if err != nil {
 			return err
 		}
-		losses[coll] = l
 	}
+	worst := 0.0
 	for i := range refLoss {
 		ag, ps := losses[netsim.CollectiveAllGather][i], losses[netsim.CollectivePS][i]
 		diff := math.Max(math.Abs(ag-refLoss[i]), math.Abs(ps-refLoss[i]))
+		worst = math.Max(worst, diff) // a NaN diff propagates, so it fails too
 		tbl.AddRow(fmt.Sprintf("%d", i),
 			fmt.Sprintf("%.17g", refLoss[i]), fmt.Sprintf("%.17g", ag),
 			fmt.Sprintf("%.17g", ps), fmt.Sprintf("%g", diff))
 	}
 	tbl.Render(os.Stdout)
+	if worst != 0 {
+		return fmt.Errorf("cluster losses differ from the in-process trainer by up to %g, want bit-identity", worst)
+	}
 	return nil
 }
 
@@ -183,7 +156,7 @@ func measuredVsPredicted(workers, dim int, delta float64, seed int64) error {
 		"collective", "msgs (measured)", "msgs (formula)", "bytes (measured)", "bytes (accounting)",
 		"virtual time", "alpha-beta time")
 	for _, coll := range []netsim.Collective{netsim.CollectiveRing, netsim.CollectiveAllGather, netsim.CollectivePS} {
-		e, err := cluster.New(cluster.Config{
+		e, err := cluster.New(cluster.NodeConfig{
 			Workers:    workers,
 			Collective: coll,
 			Scenario:   cluster.ScenarioFromNetwork(net),
@@ -241,7 +214,7 @@ func scenarioKnobs(workers, dim int, straggler float64, seed int64) error {
 		fmt.Sprintf("Scenario knobs — dense ring, N=%d, d=%d, 1ms compute/step", workers, dim),
 		"scenario", "step time", "drag vs nominal")
 	runScenario := func(name string, scen *cluster.Scenario) (float64, error) {
-		e, err := cluster.New(cluster.Config{
+		e, err := cluster.New(cluster.NodeConfig{
 			Workers:    workers,
 			Collective: netsim.CollectiveRing,
 			Scenario:   scen,

@@ -48,7 +48,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"math/rand"
 	"net"
 	"net/http"
 	"os"
@@ -59,12 +58,9 @@ import (
 	"time"
 
 	"repro/internal/cluster"
-	"repro/internal/compress"
 	"repro/internal/dist"
-	"repro/internal/encoding"
 	"repro/internal/harness"
 	"repro/internal/netsim"
-	"repro/internal/nn"
 	"repro/internal/telemetry"
 	"repro/internal/traceview"
 )
@@ -141,21 +137,6 @@ func main() {
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "sidco-node: %v\n", err)
 		os.Exit(1)
-	}
-}
-
-func parseCollective(name string) (netsim.Collective, error) {
-	switch name {
-	case "auto":
-		return netsim.CollectiveAuto, nil
-	case "ring":
-		return netsim.CollectiveRing, nil
-	case "allgather":
-		return netsim.CollectiveAllGather, nil
-	case "ps":
-		return netsim.CollectivePS, nil
-	default:
-		return 0, fmt.Errorf("unknown collective %q (want auto, ring, allgather or ps)", name)
 	}
 }
 
@@ -249,10 +230,10 @@ func (nt *nodeTelemetry) close() {
 	}
 }
 
-// trainerFor builds the demo workload (the same model and batch stream
-// as cmd/sidco-cluster) at any (workers, firstWorker) split, so N
-// single-worker processes draw exactly the batches of one N-worker
-// in-process trainer. tel is nil for the telemetry-free reference run.
+// trainerFor builds harness.DemoTrainerConfig at any (workers,
+// firstWorker) split, so N single-worker processes draw exactly the
+// batches of one N-worker in-process trainer. tel is nil for the
+// telemetry-free reference run.
 //
 // With a lossy -format and a compressor, both the deployment trainer and
 // the -check reference trainer pre-round every selected value to the
@@ -261,54 +242,21 @@ func (nt *nodeTelemetry) close() {
 // emitted values are fixed points of the wire's rounding — what the
 // sockets deliver is exactly what the in-process reference computes.
 func trainerFor(opt options, workers, firstWorker int, ex dist.GradientExchange, tel *telemetry.Tracer) (*dist.Trainer, error) {
-	rng := rand.New(rand.NewSource(opt.seed))
-	model := nn.NewSequential(
-		nn.NewDense("d1", 16, 12, rng),
-		&nn.ReLU{},
-		nn.NewDense("d2", 12, 4, rng),
-	)
-	var factory func() compress.Compressor
-	if opt.compressor != "" && opt.compressor != "none" {
-		factory = harness.Factory(opt.compressor, opt.seed)
-	}
+	cfg := harness.DemoTrainerConfig(opt.compressor, opt.delta, opt.seed)
 	wire, err := cluster.ParseWire(opt.format)
 	if err != nil {
 		return nil, err
 	}
-	var ecWire *encoding.Format
-	if factory != nil && wire != cluster.WireLossless {
+	if cfg.NewCompressor != nil && wire != cluster.WireLossless {
 		f, err := wire.Format()
 		if err != nil {
 			return nil, err
 		}
-		ecWire = &f
+		cfg.ECWire = &f
 	}
-	return dist.NewTrainer(dist.TrainerConfig{
-		Workers:     workers,
-		FirstWorker: firstWorker,
-		Model:       model,
-		Loss:        &nn.SoftmaxCrossEntropy{},
-		Opt:         &nn.SGD{LR: 0.05},
-		Batch: func(worker int, rng *rand.Rand) (*nn.Tensor, []int) {
-			x := nn.NewTensor(8, 16)
-			targets := make([]int, 8)
-			for i := range targets {
-				targets[i] = rng.Intn(4)
-				for j := 0; j < 16; j++ {
-					x.Data[i*16+j] = rng.NormFloat64() + float64(targets[i])
-				}
-			}
-			return x, targets
-		},
-		NewCompressor: factory,
-		Delta:         opt.delta,
-		EC:            factory != nil,
-		ECWire:        ecWire,
-		Parallelism:   opt.parallel,
-		Seed:          opt.seed,
-		Exchange:      ex,
-		Telemetry:     tel,
-	})
+	cfg.Workers, cfg.FirstWorker, cfg.Exchange = workers, firstWorker, ex
+	cfg.Parallelism, cfg.Telemetry = opt.parallel, tel
+	return dist.NewTrainer(cfg)
 }
 
 // runNode is one process of the deployment: worker or parameter server.
@@ -319,7 +267,7 @@ func runNode(opt options) error {
 	if opt.ckptEvery < 1 {
 		return fmt.Errorf("-ckpt-every %d, need >= 1", opt.ckptEvery)
 	}
-	coll, err := parseCollective(opt.collective)
+	coll, err := netsim.ParseCollective(opt.collective)
 	if err != nil {
 		return err
 	}
@@ -657,7 +605,7 @@ func runLaunch(opt options) error {
 	if opt.iters < 1 {
 		return fmt.Errorf("-iters %d, need >= 1", opt.iters)
 	}
-	coll, err := parseCollective(opt.collective)
+	coll, err := netsim.ParseCollective(opt.collective)
 	if err != nil {
 		return err
 	}

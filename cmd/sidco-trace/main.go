@@ -72,9 +72,13 @@ func run(chromePath string, report bool, step int64, check bool, collective stri
 			return err
 		}
 		if collective != "" {
-			coll, err := parseCollective(collective)
+			coll, err := netsim.ParseCollective(collective)
 			if err != nil {
 				return err
+			}
+			if coll == netsim.CollectiveAuto {
+				// auto resolves per exchange; the count needs one formula.
+				return fmt.Errorf("-check -collective needs a concrete collective (ring, allgather or ps), got auto")
 			}
 			if workers < 1 {
 				return fmt.Errorf("-check -collective needs -workers")
@@ -113,16 +117,4 @@ func run(chromePath string, report bool, step int64, check bool, collective stri
 		}
 	}
 	return nil
-}
-
-func parseCollective(name string) (netsim.Collective, error) {
-	switch name {
-	case "ring":
-		return netsim.CollectiveRing, nil
-	case "allgather":
-		return netsim.CollectiveAllGather, nil
-	case "ps":
-		return netsim.CollectivePS, nil
-	}
-	return 0, fmt.Errorf("unknown collective %q (ring, allgather, ps)", name)
 }

@@ -4,85 +4,15 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"repro/internal/dist"
 	"repro/internal/encoding"
 	"repro/internal/netsim"
-	"repro/internal/telemetry"
 )
 
-// Config assembles a cluster Engine.
-type Config struct {
-	// Workers is the number of training nodes N (>= 1).
-	Workers int
-	// Collective selects the exchange schedule. CollectiveAuto mirrors
-	// netsim: all-gather when a contribution is sparse, ring all-reduce
-	// when dense.
-	Collective netsim.Collective
-	// Format is the wire format for encoded gradient payloads. The zero
-	// value WireLossless (encoding.FormatPairs64) makes all-gather and
-	// parameter-server exchanges reproduce the in-process reducer
-	// bit-for-bit; the float32 wires model what production fabrics
-	// actually ship.
-	Format Wire
-	// Transport overrides the default in-process channel transport. It
-	// must span NodeCount(Workers, Collective) nodes.
-	Transport Transport
-	// Scenario enables the virtual-time model on the instrumented
-	// transport (nil: traffic counting only).
-	Scenario *Scenario
-	// ComputeSec charges this much local work to every worker's clock at
-	// the start of each exchange (scaled per node by the scenario's
-	// straggler factors).
-	ComputeSec float64
-	// Chunks enables the chunked execution mode on the all-gather
-	// collective: each exchange splits the index space into this many
-	// near-equal ranges, ships every worker's selection as one encoded
-	// payload per chunk, and pipelines chunk i+1's compression while
-	// chunk i's collective is in flight. The per-chunk element budget is
-	// whatever the monolithic selection placed in each range — the global
-	// k-budget partitioned, never a per-chunk re-quota — so chunked
-	// aggregates are bit-identical to monolithic ones for any compressor.
-	// 0 or 1 keeps the monolithic schedule. Valid with CollectiveAllGather
-	// and with CollectiveAuto (which resolves to all-gather on every
-	// sparse exchange; an Auto exchange that resolves to the dense ring
-	// rejects Chunks > 1 at that point).
-	Chunks int
-	// CompressSec charges this much compression time per exchange to
-	// every worker's clock, split evenly across chunks. Unlike
-	// ComputeSec, which is charged up front, the per-chunk slices are
-	// charged inside the pipeline overlap slot, so under Chunks > 1 they
-	// hide behind in-flight communication (scaled per node by the
-	// scenario's straggler factors).
-	CompressSec float64
-	// Parallelism fans each node's per-origin payload decodes out over
-	// up to this many goroutines per chunk round; the decoded
-	// contributions are then reduced serially in worker-index order, so
-	// aggregates are bit-identical to the sequential schedule at any
-	// setting. 0 or 1 decodes sequentially.
-	Parallelism int
-	// StepTimeout, when positive, bounds every blocking receive of one
-	// exchange on every hosted node, the parameter server included: a
-	// node stuck past the deadline fails its round with an error wrapping
-	// ErrTimeout instead of hanging. The Engine stays fail-stop — its
-	// nodes run without retries, so the classified error surfaces from
-	// Exchange and the engine shuts down; elastic recovery (retry over
-	// the surviving members, NodeConfig.MaxStepRetries) is for Nodes in
-	// processes of their own. 0 disables deadlines.
-	StepTimeout time.Duration
-	// Telemetry, if non-nil, traces every round (per-node collective
-	// spans, per-chunk encode spans) and the gradient traffic on the
-	// instrumented transport (per-link sent/recv message and byte
-	// counters, receive-wait time). Telemetry totals equal
-	// Transport().Totals()/RecvTotals() exactly — same layer, same
-	// events. Nil (the default) costs nothing.
-	Telemetry *telemetry.Tracer
-	// Verify makes every exchange cross-check that all nodes computed
-	// identical aggregates (a distributed-consistency assertion for
-	// tests; it costs O(N*d) comparisons per step).
-	Verify bool
-}
+// Config is an alias of NodeConfig, the one cluster configuration, kept
+// for callers that spell the Engine's configuration cluster.Config.
+type Config = NodeConfig
 
 // NodeCount returns the transport size a configuration needs: the
 // parameter-server collective adds one server node after the workers.
@@ -94,7 +24,7 @@ func NodeCount(workers int, c netsim.Collective) int {
 }
 
 // Wire selects the payload wire format. Its zero value is the lossless
-// default, so Config{} trains bit-identically to the in-process path.
+// default, so NodeConfig{} trains bit-identically to the in-process path.
 type Wire int
 
 const (
@@ -240,7 +170,7 @@ func resolveCollective(c netsim.Collective, sparse bool, chunks int) (netsim.Col
 // round closes the shared transport and the engine. Elastic recovery is
 // for Nodes in processes of their own (NodeConfig.MaxStepRetries).
 type Engine struct {
-	cfg   Config
+	cfg   NodeConfig
 	tp    *Instrumented
 	nodes []*Node     // workers 0..Workers-1, then the server under PS
 	outs  [][]float64 // per-worker aggregation buffers
@@ -265,13 +195,14 @@ type Engine struct {
 // them.
 //
 //sidco:errclass construction-time config validation, deliberately fatal
-func New(cfg Config) (*Engine, error) {
-	ncfg := NodeConfig{
-		Workers: cfg.Workers, Collective: cfg.Collective, Format: cfg.Format, Chunks: cfg.Chunks,
-		Parallelism: cfg.Parallelism, ComputeSec: cfg.ComputeSec, CompressSec: cfg.CompressSec,
-		StepTimeout: cfg.StepTimeout, Transport: cfg.Transport, Scenario: cfg.Scenario, Telemetry: cfg.Telemetry,
+func New(cfg NodeConfig) (*Engine, error) {
+	if cfg.Rank != 0 {
+		return nil, fmt.Errorf("cluster: Engine assigns every rank itself, got Rank = %d", cfg.Rank)
 	}
-	tp, err := newInstrumented(ncfg)
+	if cfg.MaxStepRetries != 0 {
+		return nil, fmt.Errorf("cluster: Engine is fail-stop, got MaxStepRetries = %d (elastic recovery is for Nodes in processes of their own)", cfg.MaxStepRetries)
+	}
+	tp, err := newInstrumented(cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -285,8 +216,8 @@ func New(cfg Config) (*Engine, error) {
 		work:  make(chan int, nodes),
 	}
 	for i := range e.nodes {
-		ncfg.Rank = i
-		e.nodes[i] = newNode(ncfg, tp)
+		cfg.Rank = i
+		e.nodes[i] = newNode(cfg, tp)
 		e.live.Add(1)
 		go e.host()
 	}

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"time"
 
 	"repro/internal/compress"
 	"repro/internal/core"
@@ -199,6 +200,12 @@ func TestEngineValidation(t *testing.T) {
 	small, _ := NewChanTransport(2)
 	if _, err := New(Config{Workers: 2, Collective: netsim.CollectivePS, Transport: small}); err == nil {
 		t.Error("PS needs workers+1 transport nodes")
+	}
+	if _, err := New(Config{Workers: 2, Rank: 1}); err == nil {
+		t.Error("a Rank should error: the Engine assigns ranks")
+	}
+	if _, err := New(Config{Workers: 2, StepTimeout: time.Second, MaxStepRetries: 1}); err == nil {
+		t.Error("MaxStepRetries should error: the Engine is fail-stop")
 	}
 	e, err := New(Config{Workers: 2})
 	if err != nil {

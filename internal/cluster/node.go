@@ -309,26 +309,61 @@ func sparsifyInto(dst *tensor.Sparse, dim int, dense []float64) {
 	}
 }
 
-// NodeConfig assembles one cluster node of a multi-process deployment.
+// NodeConfig is the one cluster configuration: it assembles one Node of
+// a multi-process deployment (NewNode) or every node of an in-process
+// Engine (New). Every process of a deployment must pass identical
+// Workers, Collective, Format, Chunks, ComputeSec and CompressSec, or the
+// interlocking schedules diverge.
 type NodeConfig struct {
 	// Workers is the global number of training nodes N (>= 1) — not the
 	// count hosted by this process.
 	Workers int
 	// Rank is this node's id: 0..Workers-1 for a worker node, or exactly
 	// Workers for the parameter-server node (CollectivePS only), which
-	// runs Serve instead of Exchange.
+	// runs Serve instead of Exchange. New rejects a non-zero Rank: the
+	// Engine assigns every rank itself.
 	Rank int
-	// Collective, Format, Chunks, ComputeSec and CompressSec mirror the
-	// same Config fields; every process of a deployment must pass
-	// identical values or the interlocking schedules diverge.
-	// Parallelism is purely node-local (it never changes what goes on
-	// the wire or the reduction order), so it may differ across the
-	// processes of one deployment.
-	Collective  netsim.Collective
-	Format      Wire
-	Chunks      int
+	// Collective selects the exchange schedule. CollectiveAuto mirrors
+	// netsim: all-gather when a contribution is sparse, ring all-reduce
+	// when dense.
+	Collective netsim.Collective
+	// Format is the wire format for encoded gradient payloads. The zero
+	// value WireLossless (encoding.FormatPairs64) makes all-gather and
+	// parameter-server exchanges reproduce the in-process reducer
+	// bit-for-bit; the float32 wires model what production fabrics
+	// actually ship.
+	Format Wire
+	// Chunks enables the chunked execution mode on the all-gather
+	// collective: each exchange splits the index space into this many
+	// near-equal ranges, ships every worker's selection as one encoded
+	// payload per chunk, and pipelines chunk i+1's compression while
+	// chunk i's collective is in flight. The per-chunk element budget is
+	// whatever the monolithic selection placed in each range — the global
+	// k-budget partitioned, never a per-chunk re-quota — so chunked
+	// aggregates are bit-identical to monolithic ones for any compressor.
+	// 0 or 1 keeps the monolithic schedule. Valid with CollectiveAllGather
+	// and with CollectiveAuto (which resolves to all-gather on every
+	// sparse exchange; an Auto exchange that resolves to the dense ring
+	// rejects Chunks > 1 at that point).
+	Chunks int
+	// Parallelism fans each node's per-origin payload decodes out over
+	// up to this many goroutines per chunk round; the decoded
+	// contributions are then reduced serially in worker-index order, so
+	// aggregates are bit-identical to the sequential schedule at any
+	// setting. 0 or 1 decodes sequentially. It is purely node-local (it
+	// never changes what goes on the wire or the reduction order), so it
+	// may differ across the processes of one deployment.
 	Parallelism int
-	ComputeSec  float64
+	// ComputeSec charges this much local work to every worker's clock at
+	// the start of each exchange (scaled per node by the scenario's
+	// straggler factors).
+	ComputeSec float64
+	// CompressSec charges this much compression time per exchange to
+	// every worker's clock, split evenly across chunks. Unlike
+	// ComputeSec, which is charged up front, the per-chunk slices are
+	// charged inside the pipeline overlap slot, so under Chunks > 1 they
+	// hide behind in-flight communication (scaled per node by the
+	// scenario's straggler factors).
 	CompressSec float64
 	// StepTimeout, when positive, bounds every blocking receive of one
 	// exchange (and of one server round): a receive stuck past the
@@ -336,8 +371,9 @@ type NodeConfig struct {
 	// recoverable classification, unlike ErrClosed. It must comfortably
 	// exceed one full step including every peer's local compute, since
 	// the schedules only interlock once all peers reach the exchange.
-	// 0 disables deadlines (a dead peer then blocks the step forever
-	// unless the transport detects it, as TCP does).
+	// Under an Engine the classified error surfaces from Exchange and the
+	// engine shuts down. 0 disables deadlines (a dead peer then blocks
+	// the step forever unless the transport detects it, as TCP does).
 	StepTimeout time.Duration
 	// MaxStepRetries enables elastic recovery: a step that fails
 	// recoverably (peer lost or receive timeout) triggers a membership
@@ -345,17 +381,20 @@ type NodeConfig struct {
 	// rounds over the raw transport that double as a link drain — and is
 	// then retried over the agreed group, up to this many times across
 	// the node's lifetime per step. The surviving workers rescale the
-	// aggregated mean to their count. 0 keeps the fail-stop behaviour.
+	// aggregated mean to their count. 0 keeps the fail-stop behaviour,
+	// and New rejects anything else: the Engine is fail-stop.
 	// Requires StepTimeout > 0: without deadlines, survivors that are
 	// not adjacent to the dead peer would block forever instead of
 	// joining the renegotiation. Also requires a deployment of at most
 	// 64 nodes: the renegotiated membership is a uint64 bit mask.
 	MaxStepRetries int
-	// Transport is required: typically a TCPTransport hosting this rank
-	// over the deployment's shared host list. It must span
-	// NodeCount(Workers, Collective) nodes.
+	// Transport carries the deployment's messages and must span
+	// NodeCount(Workers, Collective) nodes. NewNode requires one:
+	// typically a TCPTransport hosting this rank over the deployment's
+	// shared host list. New defaults to an in-process ChanTransport, or
+	// takes a TCPTransport hosting every node for loopback-socket runs.
 	//
-	// The node reuses its encode buffers across exchanges and has no
+	// A node reuses its encode buffers across exchanges and has no
 	// per-round barrier of its own (an Engine supplies one: its Exchange
 	// joins every hosted node's round before returning). A TCPTransport
 	// copies every payload through the socket, so reuse is always safe
@@ -367,15 +406,23 @@ type NodeConfig struct {
 	// decoding. When in doubt in-process, use Engine instead.
 	Transport Transport
 	// Scenario enables the virtual-time model on the instrumented
-	// transport (meaningful for single-process loopback studies; in a
-	// real multi-process run each process only sees its own clock).
+	// transport (nil: traffic counting only). It is meaningful for
+	// single-process studies; in a real multi-process run each process
+	// only sees its own clock.
 	Scenario *Scenario
-	// Telemetry, if non-nil, traces this node's rounds (collective and
-	// encode spans) and its gradient traffic (per-link sent/recv
-	// message and byte counters, receive-wait time) — the counters are
-	// emitted at the Instrumented layer, so telemetry totals equal
-	// Transport().Totals()/RecvTotals() exactly. Nil is free.
+	// Telemetry, if non-nil, traces every round (per-node collective
+	// spans, per-chunk encode spans) and the gradient traffic on the
+	// instrumented transport (per-link sent/recv message and byte
+	// counters, receive-wait time) — the counters are emitted at the
+	// Instrumented layer, so telemetry totals equal
+	// Transport().Totals()/RecvTotals() exactly. Nil (the default) costs
+	// nothing.
 	Telemetry *telemetry.Tracer
+	// Verify makes every Engine exchange cross-check that all nodes
+	// computed identical aggregates (a distributed-consistency assertion
+	// for tests; it costs O(N*d) comparisons per step). NewNode rejects
+	// it: the check needs every node in one process.
+	Verify bool
 }
 
 // Node is one cluster node: a worker (Rank < Workers) or, under
@@ -419,6 +466,9 @@ type Node struct {
 func NewNode(cfg NodeConfig) (*Node, error) {
 	if cfg.Transport == nil {
 		return nil, fmt.Errorf("cluster: Node requires a Transport (use Engine for the in-process default)")
+	}
+	if cfg.Verify {
+		return nil, fmt.Errorf("cluster: Verify needs every node in one process (use Engine)")
 	}
 	tp, err := newInstrumented(cfg)
 	if err != nil {

@@ -588,6 +588,9 @@ func TestNodeValidation(t *testing.T) {
 	if _, err := NewNode(NodeConfig{Workers: 2, Rank: 0, Chunks: 2, Collective: netsim.CollectiveRing, Transport: tp}); err == nil {
 		t.Error("chunked ring should error")
 	}
+	if _, err := NewNode(NodeConfig{Workers: 2, Rank: 0, Transport: tp, Verify: true}); err == nil {
+		t.Error("Verify should error: it needs every node in one process")
+	}
 	nd, err := NewNode(NodeConfig{Workers: 2, Rank: 1, Collective: netsim.CollectiveAllGather, Transport: tp})
 	if err != nil {
 		t.Fatal(err)

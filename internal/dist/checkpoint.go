@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 
 	"repro/internal/compress"
 	"repro/internal/nn"
@@ -188,13 +189,12 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		Seed:        seed,
 		Workers:     int(workers),
 		FirstWorker: int(firstWorker),
-		Weights:     make([]float64, dim),
-		Residuals:   make([][]float64, workers),
 	}
-	if err := binary.Read(r, le, c.Weights); err != nil {
+	var err error
+	if c.Weights, err = readFloats(r, dim); err != nil {
 		return nil, fmt.Errorf("dist: reading checkpoint weights: %w", err)
 	}
-	for i := range c.Residuals {
+	for i := 0; i < c.Workers; i++ {
 		var rlen int64
 		if err := binary.Read(r, le, &rlen); err != nil {
 			return nil, fmt.Errorf("dist: reading residual %d length: %w", i, err)
@@ -202,15 +202,31 @@ func ReadCheckpoint(r io.Reader) (*Checkpoint, error) {
 		if rlen < 0 || rlen > 1<<30 {
 			return nil, fmt.Errorf("dist: implausible residual length %d", rlen)
 		}
-		if rlen == 0 {
-			continue
-		}
-		c.Residuals[i] = make([]float64, rlen)
-		if err := binary.Read(r, le, c.Residuals[i]); err != nil {
+		res, err := readFloats(r, rlen)
+		if err != nil {
 			return nil, fmt.Errorf("dist: reading residual %d: %w", i, err)
 		}
+		c.Residuals = append(c.Residuals, res)
 	}
 	return c, nil
+}
+
+// readFloats reads n little-endian float64s (nil for n == 0) in blocks
+// of at most 64 KiB, growing the result only as data arrives: the
+// header's lengths are untrusted, so a truncated or hostile file fails
+// with a read error instead of forcing an allocation no bytes back.
+func readFloats(r io.Reader, n int64) ([]float64, error) {
+	const block = 1 << 13
+	var out []float64
+	for int64(len(out)) < n {
+		m := int(min(n-int64(len(out)), block))
+		out = slices.Grow(out, m)
+		if err := binary.Read(r, binary.LittleEndian, out[len(out):len(out)+m]); err != nil {
+			return nil, err
+		}
+		out = out[:len(out)+m]
+	}
+	return out, nil
 }
 
 // SaveCheckpoint atomically writes c to path (temp file + rename, so a

@@ -2,6 +2,8 @@ package dist
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"path/filepath"
 	"testing"
 
@@ -161,5 +163,33 @@ func TestRestoreValidation(t *testing.T) {
 	}
 	if err := stepped.Restore(ck); err == nil {
 		t.Error("restore after stepping should fail")
+	}
+}
+
+// TestReadCheckpointHostileHeader feeds headers whose lengths no data
+// backs — a 40-byte file claiming 2^31-1 workers, and one claiming a
+// 2^30-element weight vector — and requires a read error. Allocating
+// from the header before the data arrives would abort the process
+// with an out-of-memory fatal error instead.
+func TestReadCheckpointHostileHeader(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int32
+		dim     int64
+	}{
+		{"workers", math.MaxInt32, 0},
+		{"dim", 1, 1 << 30},
+	} {
+		var buf bytes.Buffer
+		buf.Write(ckptMagic[:])
+		for _, v := range []interface{}{int64(0), int64(1), tc.workers, int32(0), tc.dim} {
+			binary.Write(&buf, binary.LittleEndian, v)
+		}
+		if buf.Len() != 40 {
+			t.Fatalf("%s: header is %d bytes, want 40", tc.name, buf.Len())
+		}
+		if _, err := ReadCheckpoint(&buf); err == nil {
+			t.Errorf("%s: a header with no data behind it was accepted", tc.name)
+		}
 	}
 }

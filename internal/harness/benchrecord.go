@@ -369,7 +369,7 @@ func predictedMessages(c netsim.Collective, workers, chunks int) int {
 }
 
 func collectiveBench(c netsim.Collective, chunks int, opt BenchOptions) (CollectiveBench, error) {
-	e, err := cluster.New(cluster.Config{
+	e, err := cluster.New(cluster.NodeConfig{
 		Workers:    opt.Workers,
 		Collective: c,
 		Chunks:     chunks,

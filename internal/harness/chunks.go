@@ -159,7 +159,7 @@ func chunkStudyInputs(cfg ChunkStudyConfig) ([]dist.ExchangeInput, error) {
 // returns the measured clock, traffic and aggregate, alongside the exact
 // traffic accounting (per-chunk encoded sizes over the lossless wire).
 func measureChunks(cfg ChunkStudyConfig, ins []dist.ExchangeInput, scen *cluster.Scenario, compressSec float64, chunks int) (*chunkRun, error) {
-	e, err := cluster.New(cluster.Config{
+	e, err := cluster.New(cluster.NodeConfig{
 		Workers:     cfg.Workers,
 		Collective:  netsim.CollectiveAllGather,
 		Scenario:    scen,

@@ -7,7 +7,6 @@ import (
 	"math/rand"
 
 	"repro/internal/cluster"
-	"repro/internal/compress"
 	"repro/internal/dist"
 	"repro/internal/netsim"
 	"repro/internal/nn"
@@ -54,11 +53,12 @@ func (c LoopbackStudyConfig) withDefaults() LoopbackStudyConfig {
 // isolation) — and tabulates the per-iteration global losses. Over the
 // lossless wire all four columns must agree bit-for-bit, and the
 // engine-over-TCP traffic must match netsim's all-gather formula
-// exactly; the study prints both checks per row.
+// exactly; the study prints both checks and returns an error (after
+// rendering) when either fails.
 func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 	cfg = cfg.withDefaults()
 
-	ref, err := loopbackTrainer(cfg, cfg.Workers, 0, nil)
+	ref, err := cfg.trainer(cfg.Workers, 0, nil)
 	if err != nil {
 		return err
 	}
@@ -68,7 +68,7 @@ func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 	}
 
 	engineRun := func(tp cluster.Transport) ([]float64, int, error) {
-		e, err := cluster.New(cluster.Config{
+		e, err := cluster.New(cluster.NodeConfig{
 			Workers:    cfg.Workers,
 			Collective: netsim.CollectiveAllGather,
 			Chunks:     cfg.Chunks,
@@ -79,7 +79,7 @@ func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 			return nil, 0, err
 		}
 		defer e.Close()
-		tr, err := loopbackTrainer(cfg, cfg.Workers, 0, e)
+		tr, err := cfg.trainer(cfg.Workers, 0, e)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -117,9 +117,11 @@ func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 		fmt.Sprintf("Loopback study — %s, N=%d, delta=%g, chunks=%d: global loss, in-process vs channels vs TCP sockets vs per-rank nodes",
 			cfg.Compressor, cfg.Workers, cfg.Delta, max(cfg.Chunks, 1)),
 		"iter", "in-process", "chan engine", "tcp engine", "tcp nodes", "max |diff|")
+	worst := 0.0
 	for i := range refLoss {
 		diff := math.Max(math.Abs(chanLoss[i]-refLoss[i]),
 			math.Max(math.Abs(tcpLoss[i]-refLoss[i]), math.Abs(nodeLoss[i]-refLoss[i])))
+		worst = math.Max(worst, diff) // a NaN diff propagates, so it fails too
 		tbl.AddRow(fmt.Sprintf("%d", i),
 			fmt.Sprintf("%.17g", refLoss[i]), fmt.Sprintf("%.17g", chanLoss[i]),
 			fmt.Sprintf("%.17g", tcpLoss[i]), fmt.Sprintf("%.17g", nodeLoss[i]),
@@ -128,28 +130,35 @@ func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 	tbl.Render(w)
 	fmt.Fprintf(w, "tcp engine traffic: %d messages, formula %d, exact=%v\n\n",
 		tcpMsgs, wantMsgs, tcpMsgs == wantMsgs)
+	if worst != 0 {
+		return fmt.Errorf("harness: loopback study: losses differ from the in-process trainer by up to %g, want bit-identity", worst)
+	}
+	if tcpMsgs != wantMsgs {
+		return fmt.Errorf("harness: loopback study: tcp engine sent %d messages, formula says %d", tcpMsgs, wantMsgs)
+	}
 	return nil
 }
 
-// loopbackTrainer builds the study's demo trainer: the same model and
-// batch stream for every mode, at any (workers, firstWorker) split.
-func loopbackTrainer(cfg LoopbackStudyConfig, workers, firstWorker int, ex dist.GradientExchange) (*dist.Trainer, error) {
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	model := nn.NewSequential(
-		nn.NewDense("d1", 16, 12, rng),
-		&nn.ReLU{},
-		nn.NewDense("d2", 12, 4, rng),
-	)
-	var factory func() compress.Compressor
-	if cfg.Compressor != "none" {
-		factory = Factory(cfg.Compressor, cfg.Seed)
-	}
-	return dist.NewTrainer(dist.TrainerConfig{
-		Workers:     workers,
-		FirstWorker: firstWorker,
-		Model:       model,
-		Loss:        &nn.SoftmaxCrossEntropy{},
-		Opt:         &nn.SGD{LR: 0.05},
+// DemoTrainerConfig is the demo workload every cluster runner trains
+// and every bit-identity oracle compares against: a 16-12-4 ReLU net
+// under SGD on synthetic class-shifted batches, compressed by the
+// registry compressor with error feedback at ratio delta ("" or "none"
+// trains dense). Callers set only what differs per runner — Workers,
+// FirstWorker, Exchange, ECWire, Parallelism, Telemetry. The seed fixes
+// the model and every worker's batch stream at any (Workers,
+// FirstWorker) split, so N single-worker processes draw exactly the
+// batches of one N-worker in-process trainer. Each call builds a fresh
+// model.
+func DemoTrainerConfig(compressor string, delta float64, seed int64) dist.TrainerConfig {
+	rng := rand.New(rand.NewSource(seed))
+	cfg := dist.TrainerConfig{
+		Model: nn.NewSequential(
+			nn.NewDense("d1", 16, 12, rng),
+			&nn.ReLU{},
+			nn.NewDense("d2", 12, 4, rng),
+		),
+		Loss: &nn.SoftmaxCrossEntropy{},
+		Opt:  &nn.SGD{LR: 0.05},
 		Batch: func(worker int, rng *rand.Rand) (*nn.Tensor, []int) {
 			x := nn.NewTensor(8, 16)
 			targets := make([]int, 8)
@@ -161,12 +170,22 @@ func loopbackTrainer(cfg LoopbackStudyConfig, workers, firstWorker int, ex dist.
 			}
 			return x, targets
 		},
-		NewCompressor: factory,
-		Delta:         cfg.Delta,
-		EC:            factory != nil,
-		Seed:          cfg.Seed,
-		Exchange:      ex,
-	})
+		Delta: delta,
+		Seed:  seed,
+	}
+	if compressor != "" && compressor != "none" {
+		cfg.NewCompressor = Factory(compressor, seed)
+		cfg.EC = true
+	}
+	return cfg
+}
+
+// trainer builds the study's demo trainer at a (workers, firstWorker)
+// split over exchange ex (nil: the in-process reducer).
+func (c LoopbackStudyConfig) trainer(workers, firstWorker int, ex dist.GradientExchange) (*dist.Trainer, error) {
+	tc := DemoTrainerConfig(c.Compressor, c.Delta, c.Seed)
+	tc.Workers, tc.FirstWorker, tc.Exchange = workers, firstWorker, ex
+	return dist.NewTrainer(tc)
 }
 
 // loopbackNodes runs the multi-process topology in-process: one
@@ -206,7 +225,7 @@ func loopbackNodes(cfg LoopbackStudyConfig) ([]float64, error) {
 				out.err = err
 				return
 			}
-			tr, err := loopbackTrainer(cfg, 1, rank, nd)
+			tr, err := cfg.trainer(1, rank, nd)
 			if err != nil {
 				out.err = err
 				return

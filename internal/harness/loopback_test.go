@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"strings"
 	"testing"
+
+	"repro/internal/dist"
 )
 
 // TestLoopbackStudy runs the four-way comparison end to end over real
@@ -38,5 +40,31 @@ func TestLoopbackStudy(t *testing.T) {
 	}
 	if rows != 3 {
 		t.Errorf("found %d data rows, want 3:\n%s", rows, out)
+	}
+}
+
+// TestDemoTrainerGolden pins the shared demo workload itself: its
+// in-process losses at 4 workers. Every cluster bit-identity check
+// compares a run against this same workload, so a change to it would
+// move reference and runs together and pass unnoticed without this pin.
+func TestDemoTrainerGolden(t *testing.T) {
+	want := []float64{
+		1.9717217881289191, 1.553726153434311, 1.5151010034030827,
+		1.6404471091383979, 1.4763438407241503, 1.5169851834518735,
+	}
+	cfg := DemoTrainerConfig("sidco-e", 0.05, 1)
+	cfg.Workers = 4
+	tr, err := dist.NewTrainer(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := tr.Run(len(want))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Errorf("loss[%d] = %.17g, want %.17g (must be bit-identical)", i, got[i], want[i])
+		}
 	}
 }

@@ -143,6 +143,17 @@ func (c Collective) String() string {
 	}
 }
 
+// ParseCollective resolves a collective name (the String values: auto,
+// ring, allgather, ps) — the inverse of String.
+func ParseCollective(name string) (Collective, error) {
+	for c := CollectiveAuto; c <= CollectivePS; c++ {
+		if c.String() == name {
+			return c, nil
+		}
+	}
+	return 0, fmt.Errorf("netsim: unknown collective %q (want auto, ring, allgather or ps)", name)
+}
+
 // CollectiveTime prices one gradient exchange over the chosen collective.
 // denseBytes is the full-model payload (used by ring and as the PS pull
 // size), sparseBytes the per-worker encoded payload (used by all-gather

@@ -271,3 +271,17 @@ func TestChunkedAllGatherMessages(t *testing.T) {
 		t.Errorf("single node: got %d, want 0", got)
 	}
 }
+
+// TestParseCollectiveRoundTrip pins ParseCollective as the inverse of
+// Collective.String over every schedule, and rejects unknown names.
+func TestParseCollectiveRoundTrip(t *testing.T) {
+	for _, c := range []Collective{CollectiveAuto, CollectiveRing, CollectiveAllGather, CollectivePS} {
+		got, err := ParseCollective(c.String())
+		if err != nil || got != c {
+			t.Errorf("ParseCollective(%q) = %v, %v; want %v", c.String(), got, err, c)
+		}
+	}
+	if _, err := ParseCollective("tree"); err == nil {
+		t.Error("unknown collective name accepted")
+	}
+}
