@@ -171,15 +171,14 @@ func measuredVsPredicted(workers, dim int, delta float64, seed int64) error {
 		}
 		msgs, bytes := e.Transport().Totals()
 		virtual := e.Transport().Elapsed()
-		var wantMsgs, wantBytes int
+		wantMsgs := netsim.ExchangeMessages(coll, workers, 1)
+		var wantBytes int
 		var predicted float64
 		switch coll {
 		case netsim.CollectiveRing:
-			wantMsgs = workers * netsim.RingMessages(workers)
 			wantBytes = netsim.RingTrafficBytes(workers, 8*dim)
 			predicted = net.AllReduceDense(8 * dim)
 		case netsim.CollectiveAllGather:
-			wantMsgs = workers * netsim.AllGatherMessages(workers)
 			wantBytes = workers * netsim.AllGatherTrafficBytes(workers, encoding.Pairs64Size(dim, nnz))
 			predicted = net.AllGatherSparse(encoding.Pairs64Size(dim, nnz))
 		case netsim.CollectivePS:
@@ -189,7 +188,6 @@ func measuredVsPredicted(workers, dim int, delta float64, seed int64) error {
 					aggNNZ++
 				}
 			}
-			wantMsgs = netsim.PSMessages(workers)
 			wantBytes = netsim.PSTrafficBytes(workers, encoding.Pairs64Size(dim, nnz), encoding.Pairs64Size(dim, aggNNZ))
 			predicted = net.ParameterServer(encoding.Pairs64Size(dim, nnz), encoding.Pairs64Size(dim, aggNNZ))
 		}

@@ -10,32 +10,17 @@
 //	sidco-micro -fig 16           # synthetic tensor sweep (also 17)
 //	sidco-micro -fig wallclock    # real Go timings on this machine
 //	sidco-micro -fig all
-//	sidco-micro -json             # machine-readable bench record to stdout
-//	sidco-micro -json -compare BENCH_pipeline.json   # + regression gate
 //
-// -json emits a sidco-bench/v1 record (see internal/harness.BenchReport):
-// compressor wall-clock throughput plus measured collective step time and
-// exact message/byte traffic, at fixed parameters so successive runs are
-// comparable. The committed baseline lives in BENCH_pipeline.json at the
-// repo root; regenerate it with
-//
-//	go run ./cmd/sidco-micro -json > BENCH_pipeline.json
-//
-// -compare FILE additionally diffs the fresh record against the
-// committed baseline and exits non-zero if any compressor's MB/s fell
-// more than -tolerance (default 0.30). Only throughput is gated —
-// collective step wall times are too noisy across machines; their
-// exact traffic counts are asserted by the test suite instead. After
-// an intentional perf change (or when moving the reference machine),
-// re-baseline by regenerating BENCH_pipeline.json as above and
-// committing it alongside the change that explains the shift.
+// The wallclock table is informational. The regression gate on
+// compressor speed is TestCompressorCost in internal/harness, which
+// times every registry compressor in units of a dense reference pass
+// on the same machine.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 
 	"repro/internal/harness"
 )
@@ -46,10 +31,6 @@ func main() {
 	scale := flag.Int("scale", 100, "dimension divisor for statistical streams")
 	seed := flag.Int64("seed", 1, "random seed")
 	dim := flag.Int("dim", 2_000_000, "dimension for -fig wallclock")
-	jsonOut := flag.Bool("json", false, "emit a sidco-bench/v2 JSON bench history to stdout and exit")
-	compare := flag.String("compare", "", "with -json: baseline record to diff against; exit non-zero on throughput regression")
-	tolerance := flag.Float64("tolerance", 0.30, "with -compare: allowed fractional MB/s drop before failing")
-	parallel := flag.Int("parallel", 1, "compression parallelism: -json emits an extra history entry at this fan-out; -compare measures at it")
 	flag.Parse()
 
 	opt := harness.Options{Iters: *iters, SimScale: *scale, Seed: *seed}
@@ -60,49 +41,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "sidco-micro: %s: %v\n", name, err)
 			os.Exit(1)
 		}
-	}
-	if *jsonOut {
-		// Fixed default parameters (only the seed is taken from flags) so
-		// every emitted record is comparable with the committed baseline.
-		if *compare == "" {
-			run("bench", func() error {
-				return harness.WriteBenchJSON(w, harness.BenchOptions{Seed: *seed, Parallelism: *parallel})
-			})
-			return
-		}
-		if *parallel > runtime.NumCPU() {
-			// A fan-out the machine cannot actually run in parallel measures
-			// scheduler timesharing, not compressor throughput — on a
-			// smaller runner than the baseline machine the gate would fail
-			// on noise. Skip loudly rather than gate on garbage.
-			fmt.Fprintf(w, "bench compare: skipped — parallelism %d exceeds this machine's %d CPUs; baseline entry not comparable here\n",
-				*parallel, runtime.NumCPU())
-			return
-		}
-		history, err := harness.LoadBenchHistory(*compare)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sidco-micro: %v\n", err)
-			os.Exit(1)
-		}
-		baseline, err := history.EntryFor(*parallel)
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "sidco-micro: %v\n", err)
-			os.Exit(1)
-		}
-		var current *harness.BenchReport
-		run("bench", func() error {
-			current, err = harness.BenchRecord(harness.BenchOptions{Seed: *seed, Parallelism: *parallel})
-			return err
-		})
-		if regs := harness.CompareBenchReports(baseline, current, *tolerance); len(regs) > 0 {
-			for _, r := range regs {
-				fmt.Fprintf(os.Stderr, "sidco-micro: regression: %s\n", r)
-			}
-			os.Exit(1)
-		}
-		fmt.Fprintf(w, "bench compare: %d compressors within %.0f%% of %s (parallelism %d vs baseline entry at %d)\n",
-			len(current.Compressors), *tolerance*100, *compare, *parallel, baseline.Parallelism)
-		return
 	}
 	switch *fig {
 	case "1":

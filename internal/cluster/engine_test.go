@@ -170,6 +170,23 @@ func TestEngineBytesPerStepMatchEncodingAccounting(t *testing.T) {
 			t.Errorf("%d messages, want %d", msgs, netsim.PSMessages(workers))
 		}
 	})
+	t.Run("parallel-decode-same-traffic", func(t *testing.T) {
+		var msgs, bytes [2]int
+		for i, p := range []int{1, 4} {
+			_, e := engineExchange(t, Config{
+				Workers: workers, Collective: netsim.CollectiveAllGather, Chunks: 8, Parallelism: p,
+			}, ins, dim)
+			msgs[i], bytes[i] = e.Transport().Totals()
+			e.Close()
+		}
+		if msgs[0] != msgs[1] || bytes[0] != bytes[1] {
+			t.Errorf("traffic changed with parallelism: P=1 %d msgs/%d bytes, P=4 %d/%d",
+				msgs[0], bytes[0], msgs[1], bytes[1])
+		}
+		if want := netsim.ExchangeMessages(netsim.CollectiveAllGather, workers, 8); msgs[1] != want {
+			t.Errorf("P=4: %d messages, want %d", msgs[1], want)
+		}
+	})
 	t.Run("reset-isolates-steps", func(t *testing.T) {
 		e, err := New(Config{Workers: workers, Collective: netsim.CollectiveAllGather})
 		if err != nil {

@@ -193,3 +193,69 @@ func TestReadCheckpointHostileHeader(t *testing.T) {
 		}
 	}
 }
+
+// FuzzReadCheckpoint drives ReadCheckpoint with arbitrary bytes: it
+// must never panic or allocate beyond what the input backs, and any
+// input it accepts must re-encode through WriteCheckpoint and read back
+// bit-for-bit equal.
+func FuzzReadCheckpoint(f *testing.F) {
+	var valid bytes.Buffer
+	if err := WriteCheckpoint(&valid, &Checkpoint{
+		Step: 7, Seed: 42, Workers: 3, FirstWorker: 1,
+		Weights:   []float64{0.5, -1.25, math.NaN(), 0},
+		Residuals: [][]float64{{1, 2}, nil, {-0.125}},
+	}); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(valid.Bytes())
+	f.Add(valid.Bytes()[:valid.Len()-3])
+	// The hostile header: 40 bytes claiming 2^31-1 workers and no data.
+	var hostile bytes.Buffer
+	hostile.Write(ckptMagic[:])
+	for _, v := range []interface{}{int64(0), int64(1), int32(math.MaxInt32), int32(0), int64(0)} {
+		binary.Write(&hostile, binary.LittleEndian, v)
+	}
+	f.Add(hostile.Bytes())
+	f.Add([]byte{})
+
+	f.Fuzz(func(t *testing.T, in []byte) {
+		c, err := ReadCheckpoint(bytes.NewReader(in))
+		if err != nil {
+			if c != nil {
+				t.Fatal("non-nil checkpoint alongside error")
+			}
+			return
+		}
+		var buf bytes.Buffer
+		if err := WriteCheckpoint(&buf, c); err != nil {
+			t.Fatalf("accepted checkpoint does not re-encode: %v", err)
+		}
+		back, err := ReadCheckpoint(&buf)
+		if err != nil {
+			t.Fatalf("re-encoded checkpoint does not read back: %v", err)
+		}
+		if back.Step != c.Step || back.Seed != c.Seed || back.Workers != c.Workers || back.FirstWorker != c.FirstWorker {
+			t.Fatalf("header changed across a round trip: %+v vs %+v", back, c)
+		}
+		if !bitsEqual(back.Weights, c.Weights) || len(back.Residuals) != len(c.Residuals) {
+			t.Fatalf("weights or residual slots changed across a round trip")
+		}
+		for w := range c.Residuals {
+			if !bitsEqual(back.Residuals[w], c.Residuals[w]) {
+				t.Fatalf("worker %d residual changed across a round trip", w)
+			}
+		}
+	})
+}
+
+func bitsEqual(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}

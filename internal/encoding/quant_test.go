@@ -232,6 +232,9 @@ func TestQuantizedSizesMatchAccounting(t *testing.T) {
 		FormatPairsBF16: PairsBF16Size(777, 33),
 		FormatPairsI8:   PairsI8Size(777, 33),
 		FormatPairs64:   Pairs64Size(777, 33),
+		FormatPairs:     PairsSize(777, 33),
+		FormatBitmap:    BitmapSize(777, 33),
+		FormatDense:     DenseSize(777),
 	} {
 		buf, err := Encode(s, f)
 		if err != nil {

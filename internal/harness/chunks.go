@@ -180,7 +180,7 @@ func measureChunks(cfg ChunkStudyConfig, ins []dist.ExchangeInput, scen *cluster
 		elapsed:  e.Transport().Elapsed(),
 		msgs:     msgs,
 		bytes:    bytes,
-		wantMsgs: cfg.Workers * netsim.ChunkedAllGatherMessages(cfg.Workers, chunks),
+		wantMsgs: netsim.ExchangeMessages(netsim.CollectiveAllGather, cfg.Workers, chunks),
 		agg:      agg,
 	}
 	// Exact byte accounting: every worker's selection, partitioned into

@@ -112,7 +112,7 @@ func LoopbackStudy(w io.Writer, cfg LoopbackStudyConfig) error {
 		return fmt.Errorf("harness: loopback study, per-rank nodes: %w", err)
 	}
 
-	wantMsgs := cfg.Iters * cfg.Workers * netsim.ChunkedAllGatherMessages(cfg.Workers, cfg.Chunks)
+	wantMsgs := cfg.Iters * netsim.ExchangeMessages(netsim.CollectiveAllGather, cfg.Workers, cfg.Chunks)
 	tbl := NewTable(
 		fmt.Sprintf("Loopback study — %s, N=%d, delta=%g, chunks=%d: global loss, in-process vs channels vs TCP sockets vs per-rank nodes",
 			cfg.Compressor, cfg.Workers, cfg.Delta, max(cfg.Chunks, 1)),

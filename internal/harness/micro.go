@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"runtime"
 
 	"repro/internal/compress"
 	"repro/internal/core"
@@ -222,36 +223,56 @@ func GoWallClock(w io.Writer, dim int, delta float64, iters int, seed int64) err
 	tbl := NewTable(fmt.Sprintf("Go wall-clock (this machine), d=%d, delta=%g", dim, delta),
 		"compressor", "mean latency", "speedup vs topk", "k-hat/k")
 	var topkTime float64
-	names := []string{"topk", "dgc", "redsync", "gaussiank", "sidco-e", "sidco-gp", "sidco-p"}
 	k := compress.TargetK(dim, delta)
-	for _, name := range names {
+	for _, name := range CompressorNames {
 		comp, err := NewCompressor(name, seed)
 		if err != nil {
 			return err
 		}
-		var s tensor.Sparse
-		elapsed := timeIt(iters, func() {
-			if err := comp.CompressInto(&s, g, delta); err != nil {
-				panic(err)
-			}
-		})
+		calls, _, nnz, err := timeCompress(comp, g, delta, iters, nil, now)
+		if err != nil {
+			return err
+		}
+		elapsed := stats.Mean(calls)
 		if name == "topk" {
 			topkTime = elapsed
 		}
 		tbl.AddRow(name, FmtSecs(elapsed), FmtX(topkTime/elapsed),
-			fmt.Sprintf("%.3f", float64(s.NNZ())/float64(k)))
+			fmt.Sprintf("%.3f", float64(nnz)/float64(k)))
 	}
 	tbl.Render(w)
 	return nil
 }
 
-// timeIt returns the mean wall-clock seconds of f over n runs.
-func timeIt(n int, f func()) float64 {
-	t0 := now()
-	for i := 0; i < n; i++ {
-		f()
+// timeCompress is the one compressor timer: after one untimed warm-up
+// call it reads clock around n CompressInto calls of comp on g at delta
+// and returns each call's seconds plus the last selection's size. A
+// non-nil ref runs, and is timed into refs, before every call, so a
+// reference pass sees the same cache and co-tenant state as the
+// compressor it is compared with. The goroutine stays on one OS thread
+// throughout, so clock may be that thread's CPU-time clock.
+func timeCompress(comp compress.Compressor, g []float64, delta float64, n int, ref func(), clock func() float64) (calls, refs []float64, nnz int, err error) {
+	runtime.LockOSThread()
+	defer runtime.UnlockOSThread()
+	var s tensor.Sparse
+	if err := comp.CompressInto(&s, g, delta); err != nil {
+		return nil, nil, 0, fmt.Errorf("harness: time %s: %w", comp.Name(), err)
 	}
-	return (now() - t0) / float64(n)
+	runtime.GC() // no collection of earlier garbage overlaps the timed calls
+	for i := 0; i < n; i++ {
+		if ref != nil {
+			t0 := clock()
+			ref()
+			refs = append(refs, clock()-t0)
+		}
+		t0 := clock()
+		err := comp.CompressInto(&s, g, delta)
+		calls = append(calls, clock()-t0)
+		if err != nil {
+			return nil, nil, 0, fmt.Errorf("harness: time %s: %w", comp.Name(), err)
+		}
+	}
+	return calls, refs, s.NNZ(), nil
 }
 
 // Fig12 reproduces Figure 12: training throughput with the CPU as the

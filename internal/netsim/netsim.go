@@ -268,6 +268,23 @@ func PSMessages(n int) int {
 	return 2 * n
 }
 
+// ExchangeMessages returns the messages one exchange of collective c
+// puts on the wire across every sending node: n ring senders for the
+// ring collectives (chunks only splits the all-gather), while the
+// parameter server's formula already counts both sides. It is 0 for a
+// collective without a fixed schedule (Auto).
+func ExchangeMessages(c Collective, workers, chunks int) int {
+	switch c {
+	case CollectiveRing:
+		return workers * RingMessages(workers)
+	case CollectiveAllGather:
+		return workers * ChunkedAllGatherMessages(workers, chunks)
+	case CollectivePS:
+		return PSMessages(workers)
+	}
+	return 0
+}
+
 // Byte closed forms of the three collectives. Like the message counts
 // these are exact integer identities, not estimates: the instrumented
 // transport's byte counters must land on them to the byte, for any wire

@@ -285,3 +285,27 @@ func TestParseCollectiveRoundTrip(t *testing.T) {
 		t.Error("unknown collective name accepted")
 	}
 }
+
+// TestExchangeMessages pins the cluster-wide message total of one
+// exchange: n senders times the per-node ring count, the parameter
+// server's two-sided count, and nothing for Auto (no fixed schedule).
+func TestExchangeMessages(t *testing.T) {
+	for _, tc := range []struct {
+		c               Collective
+		workers, chunks int
+		want            int
+	}{
+		{CollectiveRing, 4, 1, 24},
+		{CollectiveRing, 1, 1, 0},
+		{CollectiveAllGather, 4, 1, 12},
+		{CollectiveAllGather, 4, 0, 12},
+		{CollectiveAllGather, 4, 8, 96},
+		{CollectivePS, 4, 1, 8},
+		{CollectivePS, 4, 8, 8},
+		{CollectiveAuto, 4, 1, 0},
+	} {
+		if got := ExchangeMessages(tc.c, tc.workers, tc.chunks); got != tc.want {
+			t.Errorf("ExchangeMessages(%v, %d, %d) = %d, want %d", tc.c, tc.workers, tc.chunks, got, tc.want)
+		}
+	}
+}
